@@ -13,22 +13,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_compare_lib.h"
+#include "common/durable_io.h"
 
 namespace {
-
-bool ReadFile(const char* path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -62,15 +52,16 @@ int main(int argc, char** argv) {
   }
   if (num_paths != 2) return Usage();
 
-  std::string texts[2];
   std::vector<BenchRow> rows[2];
   for (int i = 0; i < 2; ++i) {
-    if (!ReadFile(paths[i], &texts[i])) {
-      std::fprintf(stderr, "bench_compare: cannot read %s\n", paths[i]);
+    const rasa::StatusOr<std::string> text = rasa::ReadFileToString(paths[i]);
+    if (!text.ok()) {
+      std::fprintf(stderr, "bench_compare: %s\n",
+                   text.status().ToString().c_str());
       return 2;
     }
     std::string error;
-    if (!ParseBenchJson(texts[i], &rows[i], &error)) {
+    if (!ParseBenchJson(*text, &rows[i], &error)) {
       std::fprintf(stderr, "bench_compare: %s: %s\n", paths[i],
                    error.c_str());
       return 2;

@@ -2,9 +2,9 @@
 #define RASA_BENCH_BENCH_COMPARE_LIB_H_
 
 // Comparison of two BENCH_<name>.json result files (the flat
-// array-of-objects format emitted by BenchJsonWriter). Header-only and
-// dependency-free (std only) so both the bench_compare tool and its unit
-// test can use it without dragging in the solver libraries.
+// array-of-objects format emitted by BenchJsonWriter). Header-only on top
+// of rasa_common's strict JSON reader, so both the bench_compare tool and
+// its unit test can use it without dragging in the solver libraries.
 //
 // Rows are matched across the two files by their *identity*: every
 // string-valued field plus the integer axis fields in kAxisKeys (e.g.
@@ -15,186 +15,22 @@
 // 10%) is a regression. Unclassified numeric fields are informational and
 // never flagged.
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/telemetry.h"
+
 namespace rasa::bench {
 
-struct BenchValue {
-  enum class Kind { kString, kNumber, kBool, kNull };
-  Kind kind = Kind::kNull;
-  std::string str;
-  double num = 0.0;
-  bool boolean = false;
-};
-
 /// One flat JSON object, in file order (BenchJsonWriter never nests).
-using BenchRow = std::vector<std::pair<std::string, BenchValue>>;
+using BenchRow = std::vector<std::pair<std::string, JsonValue>>;
 
 namespace compare_internal {
-
-class Parser {
- public:
-  Parser(const std::string& text, std::string* error)
-      : text_(text), error_(error) {}
-
-  bool Parse(std::vector<BenchRow>* rows) {
-    SkipSpace();
-    if (!Consume('[')) return Fail("expected '[' at top level");
-    SkipSpace();
-    if (Consume(']')) return true;
-    while (true) {
-      BenchRow row;
-      if (!ParseObject(&row)) return false;
-      rows->push_back(std::move(row));
-      SkipSpace();
-      if (Consume(']')) return true;
-      if (!Consume(',')) return Fail("expected ',' or ']' after object");
-      SkipSpace();
-    }
-  }
-
- private:
-  bool ParseObject(BenchRow* row) {
-    if (!Consume('{')) return Fail("expected '{'");
-    SkipSpace();
-    if (Consume('}')) return true;
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipSpace();
-      if (!Consume(':')) return Fail("expected ':' after key");
-      SkipSpace();
-      BenchValue value;
-      if (!ParseValue(&value)) return false;
-      row->emplace_back(std::move(key), std::move(value));
-      SkipSpace();
-      if (Consume('}')) return true;
-      if (!Consume(',')) return Fail("expected ',' or '}' in object");
-      SkipSpace();
-    }
-  }
-
-  bool ParseValue(BenchValue* value) {
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '"') {
-      value->kind = BenchValue::Kind::kString;
-      return ParseString(&value->str);
-    }
-    if (c == 't' || c == 'f') {
-      value->kind = BenchValue::Kind::kBool;
-      value->boolean = c == 't';
-      return ConsumeWord(c == 't' ? "true" : "false");
-    }
-    if (c == 'n') {
-      value->kind = BenchValue::Kind::kNull;
-      return ConsumeWord("null");
-    }
-    // Number: strtod accepts exactly the %.17g forms BenchJsonWriter emits
-    // (including "inf"/"nan" never appearing — those are written as null).
-    char* end = nullptr;
-    const double v = std::strtod(text_.c_str() + pos_, &end);
-    if (end == text_.c_str() + pos_) return Fail("expected a JSON value");
-    value->kind = BenchValue::Kind::kNumber;
-    value->num = v;
-    pos_ = static_cast<size_t>(end - text_.c_str());
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return Fail("expected '\"'");
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) return Fail("dangling escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("short \\u escape");
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
-            else return Fail("bad hex digit in \\u escape");
-          }
-          AppendUtf8(cp, out);
-          break;
-        }
-        default: return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  static void AppendUtf8(unsigned cp, std::string* out) {
-    if (cp < 0x80) {
-      out->push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out->push_back(static_cast<char>(0xc0 | (cp >> 6)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3f)));
-    } else {
-      out->push_back(static_cast<char>(0xe0 | (cp >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3f)));
-      out->push_back(static_cast<char>(0x80 | (cp & 0x3f)));
-    }
-  }
-
-  bool ConsumeWord(const char* word) {
-    const size_t n = std::char_traits<char>::length(word);
-    if (text_.compare(pos_, n, word) != 0) return Fail("bad literal");
-    pos_ += n;
-    return true;
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Fail(const char* message) {
-    if (error_ != nullptr) {
-      *error_ = std::string(message) + " (at byte " + std::to_string(pos_) +
-                " of " + std::to_string(text_.size()) + ")";
-    }
-    return false;
-  }
-
-  const std::string& text_;
-  std::string* error_;
-  size_t pos_ = 0;
-};
 
 inline bool KeyContains(const std::string& key, const char* needle) {
   return key.find(needle) != std::string::npos;
@@ -202,12 +38,34 @@ inline bool KeyContains(const std::string& key, const char* needle) {
 
 }  // namespace compare_internal
 
-/// Parses one BENCH_<name>.json payload. Returns false and sets `error`
-/// (when non-null) on malformed input.
+/// Parses one BENCH_<name>.json payload through the strict common JSON
+/// reader. Returns false and sets `error` (when non-null) on malformed
+/// input, on a top level that is not an array of objects, and on nested
+/// member values (BenchJsonWriter never nests).
 inline bool ParseBenchJson(const std::string& text, std::vector<BenchRow>* rows,
                            std::string* error = nullptr) {
-  compare_internal::Parser parser(text, error);
-  return parser.Parse(rows);
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  StatusOr<JsonValue> doc = ParseJson(text);
+  if (!doc.ok()) return fail(doc.status().ToString());
+  if (doc->kind != JsonValue::Kind::kArray) {
+    return fail("expected an array of objects at top level");
+  }
+  for (JsonValue& object : doc->array) {
+    if (object.kind != JsonValue::Kind::kObject) {
+      return fail("expected an object in the top-level array");
+    }
+    for (const auto& [key, value] : object.object) {
+      if (value.kind == JsonValue::Kind::kArray ||
+          value.kind == JsonValue::Kind::kObject) {
+        return fail("nested value for key \"" + key + "\"");
+      }
+    }
+    rows->push_back(std::move(object.object));
+  }
+  return true;
 }
 
 /// Integer-valued fields that are part of a row's identity rather than a
@@ -246,17 +104,17 @@ inline bool IsHigherBetter(const std::string& key) {
 inline std::string RowIdentity(const BenchRow& row) {
   std::string id;
   for (const auto& [key, value] : row) {
-    const bool is_string = value.kind == BenchValue::Kind::kString;
+    const bool is_string = value.kind == JsonValue::Kind::kString;
     const bool is_axis =
-        value.kind == BenchValue::Kind::kNumber && IsAxisKey(key);
+        value.kind == JsonValue::Kind::kNumber && IsAxisKey(key);
     if (!is_string && !is_axis) continue;
     if (!id.empty()) id += "|";
     id += key + "=";
     if (is_string) {
-      id += value.str;
+      id += value.string;
     } else {
       char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "%g", value.num);
+      std::snprintf(buffer, sizeof(buffer), "%g", value.number);
       id += buffer;
     }
   }
@@ -314,15 +172,15 @@ inline CompareReport CompareBench(const std::vector<BenchRow>& baseline,
     candidate_matched[id] = true;
     const BenchRow& cand_row = *it->second;
     for (const auto& [key, base_value] : base_row) {
-      if (base_value.kind != BenchValue::Kind::kNumber || IsAxisKey(key)) {
+      if (base_value.kind != JsonValue::Kind::kNumber || IsAxisKey(key)) {
         continue;
       }
       const bool lower_better = IsLowerBetter(key);
       const bool higher_better = !lower_better && IsHigherBetter(key);
       if (!lower_better && !higher_better) continue;
-      const BenchValue* cand_value = nullptr;
+      const JsonValue* cand_value = nullptr;
       for (const auto& [ckey, cvalue] : cand_row) {
-        if (ckey == key && cvalue.kind == BenchValue::Kind::kNumber) {
+        if (ckey == key && cvalue.kind == JsonValue::Kind::kNumber) {
           cand_value = &cvalue;
           break;
         }
@@ -331,12 +189,12 @@ inline CompareReport CompareBench(const std::vector<BenchRow>& baseline,
       MetricDelta delta;
       delta.row = id;
       delta.key = key;
-      delta.baseline = base_value.num;
-      delta.candidate = cand_value->num;
+      delta.baseline = base_value.number;
+      delta.candidate = cand_value->number;
       const double worse_by = lower_better
-                                  ? cand_value->num - base_value.num
-                                  : base_value.num - cand_value->num;
-      const double denom = std::max(std::abs(base_value.num),
+                                  ? cand_value->number - base_value.number
+                                  : base_value.number - cand_value->number;
+      const double denom = std::max(std::abs(base_value.number),
                                     options.absolute_floor);
       delta.relative_worse = worse_by / denom;
       delta.regression = delta.relative_worse > options.tolerance &&

@@ -10,12 +10,17 @@
 // Run `rasa_cli help` for the subcommand list and `rasa_cli help workflow`
 // (etc.) for per-subcommand operands and flags.
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -59,6 +64,53 @@ struct CliConfig {
   std::string log_jsonl;
   bool follow = false;
 };
+
+// Strict numeric parsing shared by flag values and positional operands: the
+// whole string must parse (strtoll/strtod) to a finite value in range, so
+// "abc" or "3x" is an error rather than a silent 0.
+template <typename T>
+bool ParseNumber(const std::string& v, T* out) {
+  char* end = nullptr;
+  errno = 0;
+  T value{};
+  if constexpr (std::is_integral_v<T>) {
+    const long long n = std::strtoll(v.c_str(), &end, 10);
+    if (std::cmp_less(n, std::numeric_limits<T>::min()) ||
+        std::cmp_greater(n, std::numeric_limits<T>::max())) {
+      return false;
+    }
+    value = static_cast<T>(n);
+  } else {
+    value = std::strtod(v.c_str(), &end);
+    if (!std::isfinite(value)) return false;
+  }
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE) return false;
+  *out = value;
+  return true;
+}
+
+// Loads the snapshot named by the first operand; on failure prints why and
+// returns nothing.
+std::optional<ClusterSnapshot> LoadOperand(const CliConfig& config) {
+  StatusOr<ClusterSnapshot> snapshot = LoadSnapshotFromFile(config.args[0]);
+  if (snapshot.ok()) return *std::move(snapshot);
+  std::fprintf(stderr, "load: %s\n", snapshot.status().ToString().c_str());
+  return std::nullopt;
+}
+
+// Reads optional positional operand `index` into `*out`, which keeps its
+// default when the operand is absent. A malformed operand is reported by
+// name and returns false (the caller exits 2, like a malformed flag).
+template <typename T>
+bool NumericOperand(const CliConfig& config, size_t index, const char* name,
+                    T* out) {
+  if (index >= config.args.size() || ParseNumber(config.args[index], out)) {
+    return true;
+  }
+  std::fprintf(stderr, "rasa_cli %s: %s must be a number in range, got '%s'\n",
+               config.command.c_str(), name, config.args[index].c_str());
+  return false;
+}
 
 // Bitmask of subcommands a flag applies to.
 enum CommandBit : unsigned {
@@ -136,11 +188,7 @@ const FlagSpec kFlags[] = {
      "sequential). The optimized placement is bit-identical at every\n"
      "thread count.",
      [](CliConfig& c, const std::string& v) {
-       char* end = nullptr;
-       const long n = std::strtol(v.c_str(), &end, 10);
-       if (end == v.c_str() || *end != '\0' || n < 0) return false;
-       c.threads = static_cast<int>(n);
-       return true;
+       return ParseNumber(v, &c.threads) && c.threads >= 0;
      }},
     {"--metrics-out", kRunCommands, "FILE",
      "after the run, scrape the metric registry and write a\n"
@@ -452,7 +500,8 @@ bool EmitObservability(const CliConfig& config, const WorkflowReport* workflow,
 
 int Generate(const CliConfig& config) {
   const std::string& preset = config.args[0];
-  const double scale = std::atof(config.args[1].c_str());
+  double scale = 0.0;
+  if (!NumericOperand(config, 1, "scale", &scale)) return 2;
   ClusterSpec spec;
   if (preset == "M1") {
     spec = M1Spec(scale);
@@ -486,11 +535,8 @@ int Generate(const CliConfig& config) {
 }
 
 int Stats(const CliConfig& config) {
-  StatusOr<ClusterSnapshot> snapshot = LoadSnapshotFromFile(config.args[0]);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "load: %s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  const std::optional<ClusterSnapshot> snapshot = LoadOperand(config);
+  if (!snapshot) return 1;
   const Cluster& cluster = *snapshot->cluster;
   std::printf("%s: %d services, %d containers, %d machines, %d resources\n",
               snapshot->name.c_str(), cluster.num_services(),
@@ -511,14 +557,13 @@ int Stats(const CliConfig& config) {
 }
 
 int Optimize(const CliConfig& config) {
-  StatusOr<ClusterSnapshot> snapshot = LoadSnapshotFromFile(config.args[0]);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "load: %s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
   RasaOptions options;
-  options.timeout_seconds =
-      config.args.size() > 1 ? std::atof(config.args[1].c_str()) : 2.0;
+  options.timeout_seconds = 2.0;
+  if (!NumericOperand(config, 1, "timeout_s", &options.timeout_seconds)) {
+    return 2;
+  }
+  const std::optional<ClusterSnapshot> snapshot = LoadOperand(config);
+  if (!snapshot) return 1;
   options.num_threads = config.threads;
   RasaOptimizer optimizer(options,
                           AlgorithmSelector(SelectorPolicy::kHeuristic));
@@ -555,22 +600,20 @@ int Optimize(const CliConfig& config) {
 }
 
 int Workflow(const CliConfig& config) {
-  StatusOr<ClusterSnapshot> snapshot = LoadSnapshotFromFile(config.args[0]);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "load: %s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
   WorkflowOptions options;
+  options.cycles = 6;
+  double fail_prob = 0.0;
+  long cordon_after = -1;
+  options.seed = 99;
+  if (!NumericOperand(config, 1, "cycles", &options.cycles) ||
+      !NumericOperand(config, 2, "fail_prob", &fail_prob) ||
+      !NumericOperand(config, 3, "cordon_after_commands", &cordon_after) ||
+      !NumericOperand(config, 4, "seed", &options.seed)) {
+    return 2;
+  }
+  const std::optional<ClusterSnapshot> snapshot = LoadOperand(config);
+  if (!snapshot) return 1;
   options.rasa.num_threads = config.threads;
-  options.cycles =
-      config.args.size() > 1 ? std::atoi(config.args[1].c_str()) : 6;
-  const double fail_prob =
-      config.args.size() > 2 ? std::atof(config.args[2].c_str()) : 0.0;
-  const long cordon_after =
-      config.args.size() > 3 ? std::atol(config.args[3].c_str()) : -1;
-  options.seed = config.args.size() > 4
-                     ? std::strtoull(config.args[4].c_str(), nullptr, 10)
-                     : 99;
   options.inject_faults = fail_prob > 0.0 || cordon_after >= 0;
   options.faults.command_failure_probability = fail_prob;
   options.faults.cordon_after_commands = cordon_after;
@@ -711,17 +754,16 @@ int Recover(const CliConfig& config) {
 // Runs the workflow with noise-free measurement and prints each cycle's
 // explain report (the human-readable form of the "report" JSON section).
 int Explain(const CliConfig& config) {
-  StatusOr<ClusterSnapshot> snapshot = LoadSnapshotFromFile(config.args[0]);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "load: %s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
   WorkflowOptions options;
+  options.cycles = 1;
+  options.rasa.timeout_seconds = 2.0;
+  if (!NumericOperand(config, 1, "cycles", &options.cycles) ||
+      !NumericOperand(config, 2, "timeout_s", &options.rasa.timeout_seconds)) {
+    return 2;
+  }
+  const std::optional<ClusterSnapshot> snapshot = LoadOperand(config);
+  if (!snapshot) return 1;
   options.rasa.num_threads = config.threads;
-  options.cycles =
-      config.args.size() > 1 ? std::atoi(config.args[1].c_str()) : 1;
-  options.rasa.timeout_seconds =
-      config.args.size() > 2 ? std::atof(config.args[2].c_str()) : 2.0;
   // Explain the real measured weights: reports should attribute the
   // pipeline, not the measurement noise.
   options.measurement_noise = 0.0;

@@ -37,28 +37,6 @@ double GlobalMarginalGain(const Cluster& cluster, const Placement& placement,
   return gain;
 }
 
-int FallbackPlaceOne(const Cluster& cluster, Placement& placement,
-                     int service) {
-  int best = -1;
-  double best_free = -1e300;
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    if (!placement.CanPlace(m, service)) continue;
-    double min_free = 1.0;
-    for (int r = 0; r < cluster.num_resources(); ++r) {
-      const double cap = cluster.machine(m).capacity[r];
-      if (cap > 0.0) {
-        min_free = std::min(min_free, placement.FreeResource(m, r) / cap);
-      }
-    }
-    if (min_free > best_free) {
-      best_free = min_free;
-      best = m;
-    }
-  }
-  if (best >= 0) placement.Add(best, service);
-  return best;
-}
-
 }  // namespace
 
 StatusOr<BaselineResult> RunOriginal(const Cluster& cluster, uint64_t seed) {
@@ -186,7 +164,12 @@ StatusOr<BaselineResult> RunPop(const Cluster& cluster,
   }
   for (int s = 0; s < N; ++s) {
     for (int c = 0; c < unplaced[s]; ++c) {
-      if (FallbackPlaceOne(cluster, working, s) < 0) ++result.lost_containers;
+      const int m = PickMachine(working, s);
+      if (m < 0) {
+        ++result.lost_containers;
+      } else {
+        working.Add(m, s);
+      }
     }
   }
   result.gained_affinity = GainedAffinity(cluster, working);
@@ -350,8 +333,11 @@ StatusOr<BaselineResult> RunApplsci19(const Cluster& cluster,
   for (int s = 0; s < N; ++s) {
     const int missing = cluster.service(s).demand - placement.TotalOf(s);
     for (int c = 0; c < missing; ++c) {
-      if (FallbackPlaceOne(cluster, placement, s) < 0) {
+      const int m = PickMachine(placement, s);
+      if (m < 0) {
         ++result.lost_containers;
+      } else {
+        placement.Add(m, s);
       }
     }
   }

@@ -6,6 +6,47 @@
 
 namespace rasa {
 
+namespace {
+
+// PickMachine's loop, instantiated with and without an availability filter
+// so the unfiltered scan (first-fit generation at Table II sizes) pays
+// nothing for it.
+template <typename Available>
+int PickMachineWith(const Placement& placement, int service,
+                    FirstFitScore score, const Available& available) {
+  const Cluster& cluster = *placement.cluster();
+  const int R = cluster.num_resources();
+  int best = -1;
+  double best_score = -1e300;
+  for (int m = 0; m < cluster.num_machines(); ++m) {
+    if (!available(m) || !placement.CanPlace(m, service)) continue;
+    // The "score" step: free fraction of the most loaded resource.
+    double min_free_frac = 1.0;
+    for (int r = 0; r < R; ++r) {
+      const double cap = cluster.machine(m).capacity[r];
+      if (cap <= 0.0) continue;
+      min_free_frac =
+          std::min(min_free_frac, placement.FreeResource(m, r) / cap);
+    }
+    const double value = score == FirstFitScore::kLeastAllocated
+                             ? min_free_frac
+                             : -min_free_frac;
+    if (value > best_score) {
+      best_score = value;
+      best = m;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
+int PickMachine(const Placement& placement, int service, FirstFitScore score,
+                const std::function<bool(int)>& available) {
+  if (available) return PickMachineWith(placement, service, score, available);
+  return PickMachineWith(placement, service, score, [](int) { return true; });
+}
+
 StatusOr<Placement> FirstFitPlace(const Cluster& cluster, Rng& rng,
                                   FirstFitScore score, bool shuffle) {
   Placement placement(cluster);
@@ -13,30 +54,10 @@ StatusOr<Placement> FirstFitPlace(const Cluster& cluster, Rng& rng,
   for (int s = 0; s < cluster.num_services(); ++s) order[s] = s;
   if (shuffle) rng.Shuffle(order);
 
-  const int R = cluster.num_resources();
   for (int s : order) {
     const Service& svc = cluster.service(s);
     for (int c = 0; c < svc.demand; ++c) {
-      int best = -1;
-      double best_score = -1e300;
-      for (int m = 0; m < cluster.num_machines(); ++m) {
-        if (!placement.CanPlace(m, s)) continue;  // the "filter" step
-        // The "score" step: free fraction of the most loaded resource.
-        double min_free_frac = 1.0;
-        for (int r = 0; r < R; ++r) {
-          const double cap = cluster.machine(m).capacity[r];
-          if (cap <= 0.0) continue;
-          min_free_frac = std::min(min_free_frac,
-                                   placement.FreeResource(m, r) / cap);
-        }
-        const double value = score == FirstFitScore::kLeastAllocated
-                                 ? min_free_frac
-                                 : -min_free_frac;
-        if (value > best_score) {
-          best_score = value;
-          best = m;
-        }
-      }
+      const int best = PickMachine(placement, s, score);
       if (best < 0) {
         return ResourceExhaustedError(StrFormat(
             "no feasible machine for container %d of service %s", c,

@@ -1,6 +1,8 @@
 #ifndef RASA_CLUSTER_FIRST_FIT_H_
 #define RASA_CLUSTER_FIRST_FIT_H_
 
+#include <functional>
+
 #include "cluster/cluster.h"
 #include "cluster/placement.h"
 #include "common/rng.h"
@@ -17,6 +19,14 @@ enum class FirstFitScore {
   /// Least remaining resources first (packs machines tightly).
   kMostAllocated,
 };
+
+/// The filter-and-score step for one container of `service`: among the
+/// machines that pass `available` (all when empty) and can take it in
+/// `placement`, the best by `score` on the free fraction of the most loaded
+/// resource, ties to the lowest id; -1 when none fits.
+int PickMachine(const Placement& placement, int service,
+                FirstFitScore score = FirstFitScore::kLeastAllocated,
+                const std::function<bool(int)>& available = nullptr);
 
 /// Kubernetes-style filter-and-score placement: services are processed in
 /// the given order (shuffled when `shuffle` is set), each container is

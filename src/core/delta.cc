@@ -1,5 +1,6 @@
 #include "core/delta.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -27,6 +28,42 @@ void HashDouble(uint64_t& h, double v) {
   static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
   std::memcpy(&bits, &v, sizeof(bits));
   HashU64(h, bits);
+}
+
+// Services that belong to some cached subproblem; everything else is
+// trivial and charges the machines it currently sits on.
+std::vector<char> CrucialServices(const Cluster& cluster,
+                                  const IncrementalState& state) {
+  std::vector<char> crucial(cluster.num_services(), 0);
+  for (const SubproblemCache& cache : state.subproblems) {
+    for (int s : cache.subproblem.services) crucial[s] = 1;
+  }
+  return crucial;
+}
+
+// Residual capacity of each of `machines` after the trivial containers of
+// `placement`, in SubproblemCache::residuals layout.
+std::vector<double> TrivialResiduals(const Cluster& cluster,
+                                     const Placement& placement,
+                                     const std::vector<char>& crucial,
+                                     const std::vector<int>& machines) {
+  const int num_resources = cluster.num_resources();
+  std::vector<double> residuals(machines.size() * num_resources, 0.0);
+  for (size_t j = 0; j < machines.size(); ++j) {
+    const Machine& machine = cluster.machine(machines[j]);
+    std::vector<double> used(num_resources, 0.0);
+    for (const auto& [s, count] : placement.ServicesOn(machines[j])) {
+      if (crucial[s]) continue;
+      const Service& svc = cluster.service(s);
+      for (int r = 0; r < num_resources; ++r) {
+        used[r] += count * svc.request[r];
+      }
+    }
+    for (int r = 0; r < num_resources; ++r) {
+      residuals[j * num_resources + r] = machine.capacity[r] - used[r];
+    }
+  }
+  return residuals;
 }
 
 }  // namespace
@@ -73,14 +110,7 @@ SnapshotDelta DiffSnapshot(const Cluster& cluster, const Placement& current,
   delta.residual_increased.assign(n, 0);
   delta.weight_ratio.assign(n, 1.0);
   delta.rebuilt.resize(n);
-  delta.residuals.resize(n);
-
-  // Crucial services are exactly the subproblem members; everything else is
-  // trivial and charges the machines it currently sits on.
-  std::vector<char> crucial(cluster.num_services(), 0);
-  for (const SubproblemCache& cache : state.subproblems) {
-    for (int s : cache.subproblem.services) crucial[s] = 1;
-  }
+  const std::vector<char> crucial = CrucialServices(cluster, state);
 
   double total_internal = 0.0;
   double dirty_internal = 0.0;
@@ -110,38 +140,23 @@ SnapshotDelta DiffSnapshot(const Cluster& cluster, const Placement& current,
       }
     }
 
-    // Residuals after trivial residents, in the solver's machine-local
-    // layout. A residual that moved more than the tolerated fraction of
-    // capacity re-solves the partition; a residual that merely *grew*
-    // (cordoned-off noise, a trivial container leaving) only disqualifies
-    // the cached bound from certificate reuse.
-    std::vector<double>& fresh_res = delta.residuals[i];
-    fresh_res.assign(fresh.machines.size() * num_resources, 0.0);
-    const bool res_known =
-        cache.residuals.size() == fresh_res.size();
-    for (size_t j = 0; j < fresh.machines.size(); ++j) {
-      const int m = fresh.machines[j];
-      const Machine& machine = cluster.machine(m);
-      std::vector<double> used(num_resources, 0.0);
-      for (const auto& [s, count] : current.ServicesOn(m)) {
-        if (crucial[s]) continue;
-        const Service& svc = cluster.service(s);
-        for (int r = 0; r < num_resources; ++r) {
-          used[r] += count * svc.request[r];
-        }
-      }
-      for (int r = 0; r < num_resources; ++r) {
-        const double res = machine.capacity[r] - used[r];
-        fresh_res[j * num_resources + r] = res;
-        if (!res_known) {
-          dirty = true;
-          continue;
-        }
-        const double old = cache.residuals[j * num_resources + r];
-        const double slack =
-            options.residual_tolerance * std::max(machine.capacity[r], 1e-12);
-        if (std::fabs(res - old) > slack) dirty = true;
-        if (res > old + 1e-12) delta.residual_increased[i] = 1;
+    // A residual that moved more than the tolerated fraction of capacity
+    // re-solves the partition; a residual that merely *grew* (cordoned-off
+    // noise, a trivial container leaving) only disqualifies the cached
+    // bound from certificate reuse.
+    const std::vector<double> residuals =
+        TrivialResiduals(cluster, current, crucial, fresh.machines);
+    const bool known = cache.residuals.size() == residuals.size();
+    if (!known) dirty = true;
+    for (size_t k = 0; known && k < residuals.size(); ++k) {
+      const double capacity =
+          cluster.machine(fresh.machines[k / num_resources])
+              .capacity[k % num_resources];
+      const double slack =
+          options.residual_tolerance * std::max(capacity, 1e-12);
+      if (std::fabs(residuals[k] - cache.residuals[k]) > slack) dirty = true;
+      if (residuals[k] > cache.residuals[k] + 1e-12) {
+        delta.residual_increased[i] = 1;
       }
     }
 
@@ -169,41 +184,18 @@ void RebaseIncrementalState(const Cluster& cluster, const Placement& live,
       state->num_resources != cluster.num_resources()) {
     return;
   }
-  const int num_resources = cluster.num_resources();
-  std::vector<char> crucial(cluster.num_services(), 0);
-  for (const SubproblemCache& cache : state->subproblems) {
-    for (int s : cache.subproblem.services) crucial[s] = 1;
-  }
+  const std::vector<char> crucial = CrucialServices(cluster, *state);
   for (SubproblemCache& cache : state->subproblems) {
-    const Subproblem& sp = cache.subproblem;
-    std::vector<double> fresh(sp.machines.size() * num_resources, 0.0);
-    for (size_t j = 0; j < sp.machines.size(); ++j) {
-      const Machine& machine = cluster.machine(sp.machines[j]);
-      std::vector<double> used(num_resources, 0.0);
-      for (const auto& [s, count] : live.ServicesOn(sp.machines[j])) {
-        if (crucial[s]) continue;
-        const Service& svc = cluster.service(s);
-        for (int r = 0; r < num_resources; ++r) {
-          used[r] += count * svc.request[r];
-        }
-      }
-      for (int r = 0; r < num_resources; ++r) {
-        fresh[j * num_resources + r] = machine.capacity[r] - used[r];
-      }
+    std::vector<double> fresh = TrivialResiduals(cluster, live, crucial,
+                                                 cache.subproblem.machines);
+    // The solve's bound assumed at most `residuals[k]` of headroom; more
+    // room means a re-solve could beat the bound, so it no longer certifies
+    // a reused term.
+    bool grew = cache.residuals.size() != fresh.size();
+    for (size_t k = 0; !grew && k < fresh.size(); ++k) {
+      grew = fresh[k] > cache.residuals[k] + 1e-12;
     }
-    if (cache.residuals.size() == fresh.size()) {
-      for (size_t k = 0; k < fresh.size(); ++k) {
-        // The solve's bound assumed at most `residuals[k]` of headroom; more
-        // room means a re-solve could beat the bound, so it no longer
-        // certifies a reused term.
-        if (fresh[k] > cache.residuals[k] + 1e-12) {
-          cache.tightened = false;
-          break;
-        }
-      }
-    } else {
-      cache.tightened = false;
-    }
+    if (grew) cache.tightened = false;
     cache.residuals = std::move(fresh);
   }
 }

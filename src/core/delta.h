@@ -112,9 +112,6 @@ struct SnapshotDelta {
   /// The cached subproblems with edges + internal affinity recomputed under
   /// the fresh snapshot's weights (what this cycle's certificate charges).
   std::vector<Subproblem> rebuilt;
-  /// Fresh residual capacities per subproblem, same layout as
-  /// SubproblemCache::residuals (becomes the next cycle's cache).
-  std::vector<std::vector<double>> residuals;
   int num_dirty = 0;
   /// Share of the total internal affinity (fresh weights) on dirty
   /// partitions — the drift measure gating the full-resolve fallback.
@@ -144,23 +141,6 @@ void RebaseIncrementalState(const Cluster& cluster, const Placement& live,
 SnapshotDelta DiffSnapshot(const Cluster& cluster, const Placement& current,
                            const IncrementalState& state,
                            const DeltaOptions& options);
-
-/// A ready-to-execute incremental solve: the rebuilt partition plus, per
-/// subproblem, whether the cached solution is reused verbatim or the
-/// subproblem is re-solved warm-started from `hint` (the prior incumbent =
-/// base placement + cached assignments). Built by RasaOptimizer::
-/// the incremental Optimize path from a SnapshotDelta; `cache` and `hint`
-/// must outlive the solve.
-struct DeltaPlan {
-  PartitionResult partition;
-  /// Per subproblem (cache/partition index): skip the solvers, re-apply the
-  /// cached assignments in the merge.
-  std::vector<char> reuse;
-  std::vector<char> residual_increased;
-  std::vector<double> weight_ratio;
-  const IncrementalState* cache = nullptr;
-  const Placement* hint = nullptr;
-};
 
 /// Token encoding (whitespace-separated, self-framing, precision 17) so the
 /// state embeds in journal records and checkpoint sections and `--resume`

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/first_fit.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/strings.h"
@@ -72,28 +73,6 @@ void AuditPartialStep(const Cluster& cluster, const Placement& live,
   }
 }
 
-// Least-allocated available machine that can take one container of `s` in
-// `placement`; -1 if none.
-int BestAvailableMachine(const Cluster& cluster, const Placement& placement,
-                         const ClusterActions& actions, int s) {
-  int best = -1;
-  double best_score = -1.0;
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    if (!actions.Available(m) || !placement.CanPlace(m, s)) continue;
-    double min_free_frac = 1.0;
-    for (int r = 0; r < cluster.num_resources(); ++r) {
-      const double cap = cluster.machine(m).capacity[r];
-      if (cap <= 0.0) continue;
-      min_free_frac = std::min(min_free_frac, placement.FreeResource(m, r) / cap);
-    }
-    if (min_free_frac > best_score) {
-      best_score = min_free_frac;
-      best = m;
-    }
-  }
-  return best;
-}
-
 // Rewrites `desired` so no command would target an unavailable machine:
 // creates planned there move to available machines (or the planned move is
 // cancelled, keeping the container at its source); deletes planned there
@@ -117,7 +96,9 @@ void AdjustTargetForUnavailable(const Cluster& cluster, const Placement& live,
         // Creates on m are impossible: place the containers elsewhere.
         RASA_CHECK(desired.Remove(m, s, delta).ok());
         for (int i = 0; i < delta; ++i) {
-          int dest = BestAvailableMachine(cluster, desired, actions, s);
+          int dest = PickMachine(
+              desired, s, FirstFitScore::kLeastAllocated,
+              [&](int machine) { return actions.Available(machine); });
           if (dest < 0) {
             // Cancel the planned move instead: leave the container where it
             // currently lives (a machine with a planned surplus delete).
@@ -187,7 +168,11 @@ void RepairDeficits(const Cluster& cluster, Placement& live,
           break;
         }
       }
-      if (dest < 0) dest = BestAvailableMachine(cluster, live, actions, s);
+      if (dest < 0) {
+        dest = PickMachine(
+            live, s, FirstFitScore::kLeastAllocated,
+            [&](int machine) { return actions.Available(machine); });
+      }
       bool created = false;
       if (dest >= 0) {
         RetryStats st;

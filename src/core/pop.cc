@@ -25,8 +25,9 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
   const int num_machines = static_cast<int>(subproblem.machines.size());
   const int k = std::max(
       2, std::min({options.num_replicas, num_services, num_machines}));
-  if (num_services < 2 || num_machines < 2 || k < 2) {
-    // Nothing to split; solve directly.
+  if (!ShouldUsePop(options, subproblem) || num_services < 2 ||
+      num_machines < 2 || k < 2) {
+    // Not oversized, or nothing to split: solve directly.
     return RunPoolAlgorithm(algorithm, cluster, subproblem, base, original,
                             deadline, seed, stats, mip_incumbent);
   }
@@ -95,24 +96,8 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
   // Re-price the union over the FULL subproblem's edges: replicas only saw
   // their own internal edges, but two services split apart may still land
   // on one machine.
-  std::vector<int> local_service(cluster.num_services(), -1);
-  for (size_t i = 0; i < subproblem.services.size(); ++i) {
-    local_service[subproblem.services[i]] = static_cast<int>(i);
-  }
-  std::vector<int> local_machine(cluster.num_machines(), -1);
-  for (size_t j = 0; j < subproblem.machines.size(); ++j) {
-    local_machine[subproblem.machines[j]] = static_cast<int>(j);
-  }
-  std::vector<std::vector<int>> counts(
-      subproblem.services.size(),
-      std::vector<int>(subproblem.machines.size(), 0));
-  for (const SubproblemSolution::Assignment& a : combined.assignments) {
-    const int s = local_service[a.service];
-    const int m = local_machine[a.machine];
-    if (s >= 0 && m >= 0) counts[s][m] += a.count;
-  }
   combined.gained_affinity =
-      SubproblemGainedAffinity(cluster, subproblem, counts);
+      SubproblemGainedAffinity(cluster, subproblem, combined.assignments);
 
   if (stats != nullptr) {
     // Aggregate timing only: deliberately no CG/MIP bound, because a

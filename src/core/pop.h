@@ -46,11 +46,13 @@ struct PopStats {
 /// True when `options` asks for a POP split of `subproblem`.
 bool ShouldUsePop(const PopOptions& options, const Subproblem& subproblem);
 
-/// Drop-in replacement for RunPoolAlgorithm that solves `subproblem` via a
-/// POP replica split. Deterministic for a fixed `seed`: the split and every
-/// replica solve derive from it alone. Replicas run sequentially in the
-/// caller's thread (the caller already occupies a worker slot; nesting
-/// into the pool could deadlock). `stats` receives aggregate timing only —
+/// RunPoolAlgorithm with POP as its strategy for oversized subproblems:
+/// exactly RunPoolAlgorithm unless ShouldUsePop(options, subproblem), else
+/// `subproblem` is solved via a POP replica split (`pop_stats` says how).
+/// Deterministic for a fixed `seed`: the split and every replica solve
+/// derive from it alone. Replicas run sequentially in the caller's thread
+/// (the caller already occupies a worker slot; nesting into the pool could
+/// deadlock). `stats` receives aggregate timing only —
 /// never a CG/MIP bound, because replica-local bounds do not bound the
 /// full subproblem, keeping the certificate sound by construction. The
 /// returned solution's gained_affinity is re-priced over the *full*

@@ -8,6 +8,7 @@
 #include <numeric>
 #include <optional>
 
+#include "cluster/first_fit.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -22,28 +23,7 @@
 namespace rasa {
 namespace {
 
-// Default-scheduler fallback: least-allocated filter-and-score placement of
-// one container; returns the machine used or -1.
-int FallbackPlaceOne(const Cluster& cluster, Placement& working, int service) {
-  int best = -1;
-  double best_score = -1e300;
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    if (!working.CanPlace(m, service)) continue;
-    double min_free_frac = 1.0;
-    for (int r = 0; r < cluster.num_resources(); ++r) {
-      const double cap = cluster.machine(m).capacity[r];
-      if (cap <= 0.0) continue;
-      min_free_frac = std::min(min_free_frac,
-                               working.FreeResource(m, r) / cap);
-    }
-    if (min_free_frac > best_score) {
-      best_score = min_free_frac;
-      best = m;
-    }
-  }
-  if (best >= 0) working.Add(best, service);
-  return best;
-}
+using Assignment = SubproblemSolution::Assignment;
 
 // Salt mixed into each subproblem's RNG stream id: every stream depends
 // only on (options.seed, subproblem id), never on scheduling order, so a
@@ -87,133 +67,84 @@ class DeadlineLedger {
   int remaining_count_;
 };
 
-// One rung of a speculative subproblem solve.
-struct AttemptRecord {
-  bool expired = false;  // global budget was gone before the attempt
-  bool pruned = false;   // skipped on the advisory breaker fast path
-  std::optional<StatusOr<SubproblemSolution>> result;  // set iff a solver ran
+// What one Optimize call solves: the partition plus, per subproblem,
+// whether the merge re-applies a cached solution (`reuse`) or the solvers
+// run. A cold solve is the all-dirty plan: a fresh PartitionServices
+// partition, nothing reused, no cache and no hint.
+struct DeltaPlan {
+  PartitionResult partition;
+  std::vector<char> reuse;
+  // Per subproblem, read only where `reuse` is set (see SnapshotDelta).
+  std::vector<char> residual_increased;
+  std::vector<double> weight_ratio;
+  const IncrementalState* cache = nullptr;
+  // Prior incumbent (base placement + cached assignments): CG seeds the
+  // dirty re-solves' patterns from it, MIP takes it as its incumbent.
+  std::optional<Placement> hint;
+  // Why a carried delta state was not reused; empty otherwise.
+  std::string full_resolve_reason;
 };
 
-// Everything a worker learned about one subproblem, merged later in
-// canonical order. Workers never touch the placement, the report, or the
-// ladder counters — those belong to the merge.
-struct SolveRecord {
-  PoolAlgorithm primary = PoolAlgorithm::kCg;
-  PoolAlgorithm secondary = PoolAlgorithm::kMip;
-  uint64_t secondary_seed = 0;
-  double budget = 0.0;   // primary budget share, seconds
-  double seconds = 0.0;  // wall-clock of the speculative solve
-  AttemptRecord primary_attempt;
-  AttemptRecord secondary_attempt;
-  bool secondary_considered = false;  // worker reached the secondary rung
-  // Solver introspection of each speculative attempt, captured
-  // unconditionally (cheap out-params) and consumed by the merge when it
-  // assembles the flight-recorder records.
-  PoolAttemptStats primary_stats;
-  PoolAttemptStats secondary_stats;
-  // POP replica splitting of an oversized subproblem: both rungs use the
-  // same split decision (a pure function of options and subproblem size,
-  // so the merge can replay it deterministically).
-  bool use_pop = false;
-  PopStats primary_pop;
-  PopStats secondary_pop;
-};
-
-// Translates a worker attempt into the ledger's SolveAttempt, using the
-// *replayed* ladder decision (`replay_outcome`) so records are independent
-// of worker scheduling. Stats are attached only when the attempt's result
-// is the one the replay acted on.
-SolveAttempt MakeAttempt(PoolAlgorithm algorithm, AttemptOutcome outcome,
-                         const PoolAttemptStats* stats) {
-  SolveAttempt attempt;
-  attempt.algorithm = algorithm;
-  attempt.outcome = outcome;
-  if (stats != nullptr &&
-      (outcome == AttemptOutcome::kOk || outcome == AttemptOutcome::kFailed)) {
-    attempt.seconds = stats->seconds;
-    attempt.has_cg = stats->has_cg;
-    attempt.cg = stats->cg;
-    attempt.has_mip = stats->has_mip;
-    attempt.mip = stats->mip;
-  }
-  return attempt;
-}
-
-// One subproblem's certificate term: min(internal, proven solver bound),
-// tightened below the trivial bound only when the winning attempt proved a
-// bound AND the merge placed every container inside the subproblem's own
-// machines (`merge_unplaced == 0`) — otherwise the fallback may localize
-// internal edges on machines the solver never modeled (see explain.h).
-CertificateTerm MakeCertificateTerm(int subproblem_idx,
-                                    double internal_affinity, double realized,
-                                    int merge_unplaced,
-                                    const SolveAttempt* winner) {
-  CertificateTerm term;
-  term.subproblem = subproblem_idx;
-  term.internal_affinity = internal_affinity;
-  term.realized = realized;
-  term.bound = internal_affinity;
-  if (winner == nullptr || merge_unplaced != 0) return term;
-  double candidate = internal_affinity;
-  if (winner->has_mip && winner->mip.solved && winner->mip.bound_proven) {
-    // A proven B&B dual bound; max with the realized value is a no-op for
-    // a correct solver but keeps the term sound defensively.
-    candidate = std::max(winner->mip.best_bound, realized);
-    term.source = "mip";
-  } else if (winner->has_cg && winner->cg.has_lp_bound) {
-    // The restricted master LP bounds any integral selection of generated
-    // patterns, but greedy completion may round above it — the realized
-    // value caps it back to soundness.
-    candidate = std::max(winner->cg.lp_objective, realized);
-    term.source = "cg-lp";
-  } else {
-    return term;
-  }
-  if (candidate < internal_affinity) {
-    term.bound = candidate;
-    term.tightened = true;
-  }
-  return term;
-}
-
-}  // namespace
-
-StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
-                                             const Placement& current,
-                                             const OptimizeContext& ctx) const {
-  if (ctx.incremental == nullptr) {
-    return OptimizeWithPlan(cluster, current, ctx.pool, nullptr, nullptr);
-  }
-  ThreadPool* pool = ctx.pool;
-  IncrementalState* state = ctx.incremental;
-  Stopwatch diff_timer;
-  SnapshotDelta delta = DiffSnapshot(cluster, current, *state, options_.delta);
-
-  // Capture into a scratch state and swap on success, so `state` (which the
-  // plan below aliases as its cache) is never mutated mid-run and stays
-  // untouched on error.
-  IncrementalState fresh;
-  if (delta.full_resolve) {
-    StatusOr<RasaResult> result =
-        OptimizeWithPlan(cluster, current, pool, nullptr, &fresh);
-    if (result.ok()) {
-      result->incremental_reason = delta.reason;
-      result->dirty_subproblems = static_cast<int>(result->subproblems.size());
-      *state = std::move(fresh);
+// Adds `assignments` to `working` CanPlace-guarded: an assignment lands
+// whole when it fits, otherwise one container at a time for as many as
+// fit. Returns what landed, dropping assignments that placed nothing.
+std::vector<Assignment> ApplyGuarded(const std::vector<Assignment>& assignments,
+                                     Placement& working) {
+  std::vector<Assignment> landed;
+  for (const Assignment& a : assignments) {
+    int fit = 0;
+    if (working.CanPlace(a.machine, a.service, a.count)) {
+      working.Add(a.machine, a.service, a.count);
+      fit = a.count;
+    } else {
+      while (fit < a.count && working.CanPlace(a.machine, a.service)) {
+        working.Add(a.machine, a.service);
+        ++fit;
+      }
     }
-    return result;
+    if (fit > 0) landed.push_back({a.service, a.machine, fit});
   }
+  return landed;
+}
 
-  const int n = static_cast<int>(state->subproblems.size());
+// Adds the containers of `sp`'s services that `landed` leaves unplaced to
+// the per-service tally for the global fallback; returns their total.
+int TallyUnplaced(const Cluster& cluster, const Subproblem& sp,
+                  const std::vector<Assignment>& landed,
+                  std::vector<int>& unplaced) {
+  std::vector<int> placed(cluster.num_services(), 0);
+  for (const Assignment& a : landed) placed[a.service] += a.count;
+  int total = 0;
+  for (int s : sp.services) {
+    const int missing = cluster.service(s).demand - placed[s];
+    unplaced[s] += missing;
+    total += missing;
+  }
+  return total;
+}
+
+// The plan a delta state allows. On a full resolve it carries only the
+// reason (the caller partitions afresh); otherwise the cached partitioning
+// rebuilt under this snapshot's weights, the reuse/re-solve split, and the
+// prior incumbent as the warm-start hint.
+DeltaPlan PlanFromDelta(const Cluster& cluster, const Placement& current,
+                        const IncrementalState& state,
+                        const DeltaOptions& options) {
+  Stopwatch diff_timer;
+  SnapshotDelta delta = DiffSnapshot(cluster, current, state, options);
   DeltaPlan plan;
-  plan.cache = state;
-  plan.reuse.assign(n, 0);
-  for (int i = 0; i < n; ++i) plan.reuse[i] = delta.dirty[i] ? 0 : 1;
+  if (delta.full_resolve) {
+    plan.full_resolve_reason = delta.reason;
+    return plan;
+  }
+  const int n = static_cast<int>(state.subproblems.size());
+  plan.cache = &state;
+  for (char dirty : delta.dirty) plan.reuse.push_back(dirty ? 0 : 1);
   plan.residual_increased = std::move(delta.residual_increased);
   plan.weight_ratio = std::move(delta.weight_ratio);
 
-  // Rebuild the PartitionResult the cached cycle produced, re-priced under
-  // this snapshot's weights (DiffSnapshot already rebuilt the edges).
+  // The PartitionResult the cached cycle produced, re-priced under this
+  // snapshot's weights (DiffSnapshot already rebuilt the edges).
   PartitionResult& partition = plan.partition;
   partition.subproblems = std::move(delta.rebuilt);
   std::vector<char> crucial(cluster.num_services(), 0);
@@ -221,10 +152,8 @@ StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
   double crucial_internal = 0.0;
   for (const Subproblem& sp : partition.subproblems) {
     crucial_internal += sp.internal_affinity;
-    for (int s : sp.services) {
-      crucial[s] = 1;
-      ++num_crucial;
-    }
+    num_crucial += static_cast<int>(sp.services.size());
+    for (int s : sp.services) crucial[s] = 1;
   }
   for (int s = 0; s < cluster.num_services(); ++s) {
     if (!crucial[s]) partition.trivial_services.push_back(s);
@@ -240,89 +169,738 @@ StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
   stats.num_crucial_services = num_crucial;
   stats.num_trivial_services = cluster.num_services() - num_crucial;
   stats.num_subproblems = n;
-  stats.master_ratio = state->master_ratio;
-  stats.master_affinity = state->master_affinity;
+  stats.master_ratio = state.master_ratio;
+  stats.master_affinity = state.master_affinity;
   const double total_weight = cluster.affinity().TotalWeight();
   stats.crucial_internal_affinity =
       total_weight > 0.0 ? crucial_internal / total_weight : 0.0;
 
-  // Prior incumbent: base + cached assignments, CanPlace-guarded. Warm-start
-  // source for CG pattern seeding and the MIP initial solution on the dirty
-  // re-solves.
-  Placement hint = partition.base_placement;
-  for (const SubproblemCache& cache : state->subproblems) {
-    for (const SubproblemSolution::Assignment& a : cache.assignments) {
-      if (hint.CanPlace(a.machine, a.service, a.count)) {
-        hint.Add(a.machine, a.service, a.count);
-      } else {
-        int fit = 0;
-        while (fit < a.count && hint.CanPlace(a.machine, a.service)) {
-          hint.Add(a.machine, a.service);
-          ++fit;
+  plan.hint.emplace(partition.base_placement);
+  for (const SubproblemCache& cache : state.subproblems) {
+    ApplyGuarded(cache.assignments, *plan.hint);
+  }
+  stats.elapsed_seconds = diff_timer.ElapsedSeconds();
+  return plan;
+}
+
+// Canonical solve order: highest internal affinity first so the deadline
+// starves only the tail, with an explicit index tie-break so the order —
+// and therefore the merge — is unambiguous.
+std::vector<int> CanonicalOrder(const std::vector<Subproblem>& subproblems) {
+  std::vector<int> order(subproblems.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const double aa = subproblems[a].internal_affinity;
+    const double ab = subproblems[b].internal_affinity;
+    return aa != ab ? aa > ab : a < b;
+  });
+  return order;
+}
+
+// Batch algorithm selection (parallel GCN inference; pure, so scheduling
+// cannot change the labels). Only the subproblems that solve run
+// inference; reused ones keep the label they were solved with (echoed into
+// their ledger records).
+std::vector<PoolAlgorithm> SelectStage(const Cluster& cluster,
+                                       const DeltaPlan& plan,
+                                       const AlgorithmSelector& selector,
+                                       ThreadPool* pool) {
+  const TraceSpan span("select");
+  const std::vector<Subproblem>& subproblems = plan.partition.subproblems;
+  std::vector<const Subproblem*> dirty;
+  for (size_t i = 0; i < subproblems.size(); ++i) {
+    if (!plan.reuse[i]) dirty.push_back(&subproblems[i]);
+  }
+  const std::vector<PoolAlgorithm> dirty_labels =
+      selector.SelectBatch(cluster, dirty, pool);
+  std::vector<PoolAlgorithm> labels;
+  size_t next_dirty = 0;
+  for (size_t i = 0; i < subproblems.size(); ++i) {
+    labels.push_back(
+        plan.reuse[i]
+            ? static_cast<PoolAlgorithm>(plan.cache->subproblems[i].algorithm)
+            : dirty_labels[next_dirty++]);
+  }
+  return labels;
+}
+
+// One rung of a speculative subproblem solve.
+struct AttemptRecord {
+  PoolAlgorithm algorithm = PoolAlgorithm::kCg;
+  uint64_t seed = 0;
+  bool expired = false;  // global budget was gone before the attempt
+  // Set iff a solver ran (unset and not expired: the advisory breaker
+  // pruned the rung).
+  std::optional<StatusOr<SubproblemSolution>> result;
+  // Solver introspection, captured unconditionally (cheap out-params) and
+  // consumed by the merge when it assembles the flight-recorder records.
+  PoolAttemptStats stats;
+  PopStats pop;  // the rung's replica split, on POP subproblems
+};
+
+// Everything a worker learned about one subproblem, merged later in
+// canonical order. Workers never touch the placement, the report, or the
+// ladder counters — those belong to the merge.
+struct SolveRecord {
+  double budget = 0.0;   // primary budget share, seconds
+  double seconds = 0.0;  // wall-clock of the speculative solve
+  bool secondary_considered = false;  // worker reached the secondary rung
+  AttemptRecord primary;
+  AttemptRecord secondary;
+};
+
+// What every rung of every subproblem solves against.
+struct SolveInputs {
+  const Cluster& cluster;
+  const DeltaPlan& plan;
+  const RasaOptions& options;
+  // Handed to the solvers as the "original" placement: the prior incumbent
+  // on the incremental path, the live placement otherwise.
+  const Placement& warm_source;
+};
+
+// The secondary rung's budget: a fresh slice of whatever global budget
+// remains, half the primary's share.
+Deadline SecondaryDeadline(const Deadline& deadline, double budget) {
+  return deadline.ClampedToSeconds(std::max(0.02, 0.5 * budget));
+}
+
+// Runs one rung on `sp`. POP is the rung's strategy, not a branch of the
+// ladder: a subproblem over the POP threshold runs the same pool algorithm
+// through a replica split (a pure function of options and size, so the
+// merge's replay re-solves it identically).
+void RunRung(const SolveInputs& in, const Subproblem& sp,
+             const Deadline& deadline, AttemptRecord& rung) {
+  rung.result = RunPoolAlgorithmPop(
+      rung.algorithm, in.cluster, sp, in.plan.partition.base_placement,
+      in.warm_source, deadline, rung.seed, in.options.pop, &rung.stats,
+      in.plan.hint ? &*in.plan.hint : nullptr, &rung.pop);
+}
+
+// Speculative per-subproblem solves, fanned out across the pool. Shared
+// state is confined to the deadline ledger and the advisory failure flags;
+// everything else is per-record.
+std::vector<SolveRecord> SolveStage(const SolveInputs& in,
+                                    const std::vector<PoolAlgorithm>& selected,
+                                    const std::vector<int>& order,
+                                    const Deadline& deadline,
+                                    ThreadPool* pool) {
+  const RasaOptions& options = in.options;
+  const std::vector<Subproblem>& subproblems = in.plan.partition.subproblems;
+  const int n = static_cast<int>(subproblems.size());
+  // Reused subproblems consume no share of the deadline.
+  double total_affinity = 0.0;
+  for (int i = 0; i < n; ++i) {
+    if (!in.plan.reuse[i]) total_affinity += subproblems[i].internal_affinity;
+  }
+  DeadlineLedger ledger(deadline, total_affinity, n);
+  std::vector<SolveRecord> records(n);
+
+  // failure_flags[a * n + p] == 1 iff the attempt of algorithm `a` at
+  // canonical position `p` ran and failed. The advisory breaker counts only
+  // positions *before* the asking one, so a flag it acts on is a failure
+  // the canonical replay is guaranteed to have seen too — pruning can skip
+  // wasted solver work but can never change the merged outcome.
+  std::vector<std::atomic<uint8_t>> failure_flags(
+      static_cast<size_t>(2 * std::max(1, n)));  // value-initialized: 0
+  auto advisory_breaker_open = [&](PoolAlgorithm algorithm, int position) {
+    if (options.circuit_breaker_failures <= 0) return false;
+    const int a = static_cast<int>(algorithm);
+    int failures = 0;
+    for (int p = 0; p < position; ++p) {
+      failures += failure_flags[static_cast<size_t>(a * n + p)].load(
+          std::memory_order_acquire);
+    }
+    return failures >= options.circuit_breaker_failures;
+  };
+
+  // Per-subproblem spans name the solve span as their explicit parent:
+  // workers run on pool threads whose thread-local span stacks are empty.
+  const TraceSpan solve_span("solve");
+  auto solve_one = [&](int position) {
+    const int idx = order[position];
+    // Reused subproblems skip the solvers entirely — no RNG draws, no
+    // budget reservation (per-subproblem streams are independent, so the
+    // dirty solves still draw exactly the seeds a full run would).
+    if (in.plan.reuse[idx]) return;
+    const Subproblem& sp = subproblems[idx];
+    SolveRecord& rec = records[position];
+    TraceSpan sp_span(StrFormat("subproblem_%d", idx), solve_span.id());
+    Stopwatch sp_timer;
+
+    // Per-subproblem RNG stream; both attempt seeds are drawn up front so
+    // they do not depend on which rungs actually run.
+    Rng sp_rng(options.seed ^
+               (kStreamSalt * (static_cast<uint64_t>(idx) + 1)));
+    rec.primary.seed = sp_rng.Next();
+    rec.secondary.seed = sp_rng.Next();
+    rec.primary.algorithm = selected[idx];
+    rec.secondary.algorithm = rec.primary.algorithm == PoolAlgorithm::kCg
+                                  ? PoolAlgorithm::kMip
+                                  : PoolAlgorithm::kCg;
+    const Deadline sp_deadline =
+        ledger.Reserve(sp.internal_affinity, &rec.budget);
+
+    auto attempt = [&](AttemptRecord& rung, const Deadline& rung_deadline) {
+      rung.expired = deadline.Expired();
+      if (rung.expired || advisory_breaker_open(rung.algorithm, position)) {
+        return;
+      }
+      RunRung(in, sp, rung_deadline, rung);
+      if (!rung.result->ok()) {
+        failure_flags[static_cast<size_t>(
+                          static_cast<int>(rung.algorithm) * n + position)]
+            .store(1, std::memory_order_release);
+      }
+    };
+    attempt(rec.primary, sp_deadline);
+    const bool primary_ok = rec.primary.result && rec.primary.result->ok();
+    if (!primary_ok && options.try_secondary_algorithm) {
+      // Rung 2 of the ladder, speculatively: the other pool algorithm.
+      rec.secondary_considered = true;
+      attempt(rec.secondary, SecondaryDeadline(deadline, rec.budget));
+    }
+    rec.seconds = sp_timer.ElapsedSeconds();
+  };
+
+  if (pool != nullptr) {
+    pool->ParallelFor(n, solve_one);
+  } else {
+    for (int position = 0; position < n; ++position) solve_one(position);
+  }
+  return records;
+}
+
+// Translates a worker attempt into the ledger's SolveAttempt, using the
+// *replayed* ladder decision (`outcome`) so records are independent of
+// worker scheduling. Stats are attached only when the attempt's result is
+// the one the replay acted on.
+SolveAttempt MakeAttempt(const AttemptRecord& rung, AttemptOutcome outcome) {
+  SolveAttempt attempt;
+  attempt.algorithm = rung.algorithm;
+  attempt.outcome = outcome;
+  if (outcome == AttemptOutcome::kOk || outcome == AttemptOutcome::kFailed) {
+    attempt.seconds = rung.stats.seconds;
+    attempt.has_cg = rung.stats.has_cg;
+    attempt.cg = rung.stats.cg;
+    attempt.has_mip = rung.stats.has_mip;
+    attempt.mip = rung.stats.mip;
+  }
+  return attempt;
+}
+
+// One subproblem as the merge decided it: reused and solved subproblems
+// both reduce to the ladder outcome, what landed, and the certificate term.
+struct MergedSubproblem {
+  // Ladder outcome. A reused subproblem echoes the cached solve's, with
+  // both attempts kNotRun and no timings.
+  PoolAlgorithm algorithm = PoolAlgorithm::kCg;
+  bool reused = false;
+  bool used_secondary = false;
+  bool fell_to_greedy = false;
+  int ladder_rung = 0;
+  SolveAttempt primary;
+  SolveAttempt secondary;
+  double budget_seconds = 0.0;
+  double seconds = 0.0;
+  const PopStats* pop = nullptr;  // the winning rung's POP split, if any
+  // The solution's own account: realized affinity and unplaced containers
+  // (a reused subproblem re-prices the realized value under this snapshot's
+  // weights and reports the cached unplaced count).
+  double gained_affinity = 0.0;
+  int unplaced_containers = 0;
+  // What landed on the working placement, and how many containers of the
+  // subproblem's services it could NOT keep on the subproblem's machines
+  // (they go to the global fallback).
+  std::vector<Assignment> landed;
+  int merge_unplaced = 0;
+  CertificateTerm term;
+};
+
+// The merge's running state: the working placement, the per-service tally
+// of containers left for the global fallback, and the replayed breaker.
+struct MergeState {
+  Placement working;
+  std::vector<int> unplaced;
+  int algorithm_failures[2] = {0, 0};
+};
+
+// A term at the trivial bound: every internal edge fully localized.
+CertificateTerm TrivialTerm(int subproblem_idx, const Subproblem& sp,
+                            double realized) {
+  CertificateTerm term;
+  term.subproblem = subproblem_idx;
+  term.internal_affinity = sp.internal_affinity;
+  term.realized = realized;
+  term.bound = sp.internal_affinity;
+  return term;
+}
+
+// Tightens `term` to a claimed bound when that beats the trivial one. The
+// realized value caps the claim from below: a correct claim never sits
+// under it, and the max keeps the term sound when one does.
+void Tighten(CertificateTerm& term, double claim) {
+  const double candidate = std::max(claim, term.realized);
+  if (candidate < term.internal_affinity) {
+    term.bound = candidate;
+    term.tightened = true;
+  }
+}
+
+// A reused subproblem: re-apply the cached assignments. The CanPlace guard
+// absorbs any residual shrinkage the differ tolerated, handing whatever no
+// longer fits to the global fallback.
+MergedSubproblem MergeReused(const Cluster& cluster, const DeltaPlan& plan,
+                             int idx, MergeState& state) {
+  const Subproblem& sp = plan.partition.subproblems[idx];
+  const SubproblemCache& cache = plan.cache->subproblems[idx];
+  MergedSubproblem m;
+  m.reused = true;
+  m.algorithm = static_cast<PoolAlgorithm>(cache.algorithm);
+  m.used_secondary = cache.used_secondary;
+  m.fell_to_greedy = cache.fell_to_greedy;
+  m.ladder_rung = cache.ladder_rung;
+  m.unplaced_containers = cache.unplaced;
+  m.landed = ApplyGuarded(cache.assignments, state.working);
+  m.merge_unplaced = TallyUnplaced(cluster, sp, m.landed, state.unplaced);
+  m.gained_affinity = SubproblemGainedAffinity(cluster, sp, m.landed);
+
+  // The cached bound is reused only while it is still sound for this
+  // snapshot: the original tightening held, every cached container fits
+  // again now, no machine regained capacity since the solve, and the weight
+  // ratio inflates away any tolerated edge growth (see DESIGN.md
+  // "Incremental re-optimization").
+  m.term = TrivialTerm(idx, sp, m.gained_affinity);
+  if (cache.tightened && m.merge_unplaced == 0 &&
+      !plan.residual_increased[idx]) {
+    Tighten(m.term, plan.weight_ratio[idx] * cache.bound);
+    if (m.term.tightened) m.term.source = cache.bound_source;
+  }
+  return m;
+}
+
+// A solved subproblem's certificate term: min(internal, proven solver
+// bound), tightened below the trivial bound only when the winning attempt
+// proved a bound AND the merge placed every container inside the
+// subproblem's own machines — otherwise the fallback may localize internal
+// edges on machines the solver never modeled (see explain.h).
+CertificateTerm SolvedTerm(int subproblem_idx, const Subproblem& sp,
+                           const MergedSubproblem& m) {
+  CertificateTerm term = TrivialTerm(subproblem_idx, sp, m.gained_affinity);
+  if (m.fell_to_greedy || m.merge_unplaced != 0) return term;
+  const SolveAttempt& winner = m.used_secondary ? m.secondary : m.primary;
+  if (winner.has_mip && winner.mip.solved && winner.mip.bound_proven) {
+    // A proven B&B dual bound.
+    term.source = "mip";
+    Tighten(term, winner.mip.best_bound);
+  } else if (winner.has_cg && winner.cg.has_lp_bound) {
+    // The restricted master LP bounds any integral selection of generated
+    // patterns, but greedy completion may round above it — the realized
+    // value caps it back to soundness.
+    term.source = "cg-lp";
+    Tighten(term, winner.cg.lp_objective);
+  }
+  return term;
+}
+
+// A solved subproblem: replay the degradation ladder and the breaker over
+// the worker's speculative attempts in canonical order, then apply the
+// winning rung's assignments (or the affinity greedy's).
+MergedSubproblem MergeSolved(const SolveInputs& in, const Deadline& deadline,
+                             int idx, SolveRecord& rec, MergeState& state,
+                             RasaResult& result) {
+  const RasaOptions& options = in.options;
+  const Subproblem& sp = in.plan.partition.subproblems[idx];
+  AttemptRecord& primary = rec.primary;
+  AttemptRecord& secondary = rec.secondary;
+  MergedSubproblem m;
+  m.algorithm = primary.algorithm;
+  m.budget_seconds = rec.budget;
+  m.seconds = rec.seconds;
+  auto breaker_open = [&](PoolAlgorithm algorithm) {
+    return options.circuit_breaker_failures > 0 &&
+           state.algorithm_failures[static_cast<int>(algorithm)] >=
+               options.circuit_breaker_failures;
+  };
+  // Settles a rung that ran: its solution, or a counted failure.
+  auto settle = [&](const AttemptRecord& rung,
+                    SolveAttempt& record) -> const SubproblemSolution* {
+    if (rung.result->ok()) {
+      record = MakeAttempt(rung, AttemptOutcome::kOk);
+      return &rung.result->value();
+    }
+    ++state.algorithm_failures[static_cast<int>(rung.algorithm)];
+    ++result.solver_failures;
+    record = MakeAttempt(rung, AttemptOutcome::kFailed);
+    return nullptr;
+  };
+
+  // Rung 1: the selected algorithm. An expired rung counts nothing
+  // (matches the sequential ladder); an advisory prune implies the replayed
+  // breaker is open here too.
+  const SubproblemSolution* solution = nullptr;
+  if (primary.expired) {
+    m.primary = MakeAttempt(primary, AttemptOutcome::kExpired);
+  } else if (breaker_open(primary.algorithm) || !primary.result) {
+    ++result.breaker_skips;
+    m.primary = MakeAttempt(primary, AttemptOutcome::kPruned);
+  } else {
+    solution = settle(primary, m.primary);
+  }
+
+  // Rung 2: the other pool algorithm.
+  if (solution == nullptr && options.try_secondary_algorithm) {
+    if (breaker_open(secondary.algorithm)) {
+      m.secondary = MakeAttempt(secondary, AttemptOutcome::kPruned);
+    } else {
+      if (!rec.secondary_considered && !deadline.Expired()) {
+        // The worker saw its primary succeed, but the replayed breaker
+        // discarded it (the breaker opened later in wall-clock, earlier in
+        // canonical order). Solve the rung now, with the pre-assigned seed
+        // and the same budget slice a sequential run would use.
+        RunRung(in, sp, SecondaryDeadline(deadline, rec.budget), secondary);
+      }
+      // A rung the worker pruned stays kNotRun: the sequential ladder
+      // would have skipped it too.
+      if (secondary.result) {
+        solution = settle(secondary, m.secondary);
+        if (solution != nullptr) {
+          RASA_LOG(Info) << "subproblem " << idx << ": "
+                         << PoolAlgorithmToString(primary.algorithm)
+                         << " failed, "
+                         << PoolAlgorithmToString(secondary.algorithm)
+                         << " rescued it";
+          m.used_secondary = true;
+          ++result.secondary_successes;
         }
+      } else if (secondary.expired) {
+        m.secondary = MakeAttempt(secondary, AttemptOutcome::kExpired);
       }
     }
   }
-  plan.hint = &hint;
-  stats.elapsed_seconds = diff_timer.ElapsedSeconds();
 
-  StatusOr<RasaResult> result =
-      OptimizeWithPlan(cluster, current, pool, &plan, &fresh);
-  if (result.ok()) *state = std::move(fresh);
-  return result;
+  if (solution == nullptr) {
+    m.fell_to_greedy = true;
+    ++result.greedy_fallbacks;
+    RASA_LOG(Info) << "subproblem " << idx << " ("
+                   << PoolAlgorithmToString(m.algorithm)
+                   << ") fell through the ladder; using affinity greedy";
+    // Affinity-aware greedy fallback, far better than scattering the
+    // containers through the default scheduler; it places straight into
+    // the working placement.
+    SubproblemSolution greedy =
+        GreedyAffinityPlace(in.cluster, sp, state.working);
+    m.gained_affinity = greedy.gained_affinity;
+    m.unplaced_containers = greedy.unplaced_containers;
+    m.landed = std::move(greedy.assignments);
+  } else {
+    m.landed = ApplyGuarded(solution->assignments, state.working);
+    m.gained_affinity = solution->gained_affinity;
+    m.unplaced_containers = solution->unplaced_containers;
+  }
+  m.merge_unplaced = TallyUnplaced(in.cluster, sp, m.landed, state.unplaced);
+  m.ladder_rung = m.fell_to_greedy ? 2 : (m.used_secondary ? 1 : 0);
+  m.term = SolvedTerm(idx, sp, m);
+  if (ShouldUsePop(options.pop, sp) && !m.fell_to_greedy) {
+    m.pop = m.used_secondary ? &secondary.pop : &primary.pop;
+    // A POP union is a heuristic over an unseen edge cut — mark its term so
+    // gap consumers can attribute looseness to the split (the bound itself
+    // is already trivial because POP attempts carry no solver bound).
+    m.term.source = "pop";
+  }
+  return m;
 }
 
-StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
-    const Cluster& cluster, const Placement& current, ThreadPool* pool,
-    const DeltaPlan* plan, IncrementalState* out_state) const {
+// Files one merged subproblem: its report, ledger record, and certificate
+// term, plus — when the call carries a delta state — the next cycle's
+// cache entry.
+void RecordSubproblem(const Subproblem& sp, int idx, int position,
+                      SelectorPolicy policy, MergedSubproblem& m,
+                      RasaResult& result, IncrementalState* out_state) {
+  SubproblemReport report;
+  report.num_services = static_cast<int>(sp.services.size());
+  report.num_machines = static_cast<int>(sp.machines.size());
+  report.internal_affinity = sp.internal_affinity;
+  report.algorithm = m.algorithm;
+  report.gained_affinity = m.gained_affinity;
+  report.unplaced_containers = m.unplaced_containers;
+  report.seconds = m.seconds;
+  report.failed = m.fell_to_greedy;
+  report.used_secondary = m.used_secondary;
+  if (m.pop != nullptr) {
+    report.used_pop = true;
+    report.pop_replicas = m.pop->replicas;
+    report.pop_cut_affinity = m.pop->cut_affinity;
+    // POP attempts never surface a CG/MIP bound, so the certificate term
+    // stays at the trivial internal_affinity bound: the measured give-up of
+    // the split is simply bound - realized.
+    report.pop_quality_loss =
+        std::max(0.0, sp.internal_affinity - report.gained_affinity);
+    ++result.pop_splits;
+    result.pop_quality_loss += report.pop_quality_loss;
+  }
+  result.subproblems.push_back(report);
+
+  LedgerRecord lrec;
+  lrec.subproblem = idx;
+  lrec.position = position;
+  lrec.num_services = report.num_services;
+  lrec.num_machines = report.num_machines;
+  lrec.internal_affinity = sp.internal_affinity;
+  lrec.selector_policy = policy;
+  lrec.selected = m.algorithm;
+  lrec.primary = m.primary;
+  lrec.secondary = m.secondary;
+  lrec.ladder_rung = m.ladder_rung;
+  lrec.used_secondary = m.used_secondary;
+  lrec.fell_to_greedy = m.fell_to_greedy;
+  lrec.reused = m.reused;
+  lrec.budget_seconds = m.budget_seconds;
+  lrec.seconds = m.seconds;
+  lrec.realized_affinity = m.gained_affinity;
+  lrec.unplaced_containers = m.merge_unplaced;
+  lrec.certificate_bound = m.term.bound;
+  lrec.bound_tightened = m.term.tightened;
+  result.report.records.push_back(std::move(lrec));
+
+  if (out_state != nullptr) {
+    SubproblemCache& cap = out_state->subproblems[idx];
+    cap.subproblem = sp;
+    cap.assignments = std::move(m.landed);
+    cap.unplaced = m.merge_unplaced;
+    cap.realized = m.gained_affinity;
+    cap.bound = m.term.bound;
+    cap.tightened = m.term.tightened;
+    cap.bound_source = m.term.source;
+    cap.algorithm = static_cast<int>(m.algorithm);
+    cap.used_secondary = m.used_secondary;
+    cap.fell_to_greedy = m.fell_to_greedy;
+    cap.ladder_rung = m.ladder_rung;
+  }
+  result.report.certificate.terms.push_back(std::move(m.term));
+}
+
+// Merges the subproblems in canonical order. The degradation ladder, the
+// breaker, and the counters are *replayed* here single-threaded, so the
+// merged placement and every counter are independent of worker scheduling.
+MergeState MergeStage(const SolveInputs& in, SelectorPolicy policy,
+                      const std::vector<int>& order, const Deadline& deadline,
+                      std::vector<SolveRecord>& records, RasaResult& result,
+                      IncrementalState* out_state) {
+  const TraceSpan span("merge");
+  const DeltaPlan& plan = in.plan;
+  MergeState state;
+  state.working = plan.partition.base_placement;
+  state.unplaced.assign(in.cluster.num_services(), 0);
+  if (out_state != nullptr) {
+    out_state->subproblems.assign(order.size(), SubproblemCache{});
+  }
+  for (int position = 0; position < static_cast<int>(order.size());
+       ++position) {
+    const int idx = order[position];
+    MergedSubproblem m =
+        plan.reuse[idx]
+            ? MergeReused(in.cluster, plan, idx, state)
+            : MergeSolved(in, deadline, idx, records[position], state, result);
+    RecordSubproblem(plan.partition.subproblems[idx], idx, position, policy,
+                     m, result, out_state);
+  }
+  return state;
+}
+
+// Completes the next cycle's delta state with the residuals the solvers
+// observed (base = trivial residents only) — diffed by the next
+// DiffSnapshot against its fresh snapshot — and the partition-wide fields.
+void CaptureDeltaState(const Cluster& cluster, const PartitionResult& partition,
+                       IncrementalState* out_state) {
+  const int num_resources = cluster.num_resources();
+  for (size_t i = 0; i < partition.subproblems.size(); ++i) {
+    const Subproblem& sp = partition.subproblems[i];
+    std::vector<double>& res = out_state->subproblems[i].residuals;
+    res.assign(sp.machines.size() * static_cast<size_t>(num_resources), 0.0);
+    for (size_t j = 0; j < sp.machines.size(); ++j) {
+      for (int r = 0; r < num_resources; ++r) {
+        res[j * num_resources + r] =
+            partition.base_placement.FreeResource(sp.machines[j], r);
+      }
+    }
+  }
+  out_state->valid = true;
+  out_state->structure_signature = ClusterStructureSignature(cluster);
+  out_state->num_services = cluster.num_services();
+  out_state->num_machines = cluster.num_machines();
+  out_state->num_resources = num_resources;
+  out_state->master_ratio = partition.stats.master_ratio;
+  out_state->master_affinity = partition.stats.master_affinity;
+}
+
+// Combine: default-scheduler fallback for the crucial containers the merge
+// could not place.
+void FallbackStage(const Cluster& cluster, const std::vector<int>& unplaced,
+                   Placement& working, RasaResult& result) {
+  const TraceSpan span("fallback");
+  for (int s = 0; s < cluster.num_services(); ++s) {
+    for (int c = 0; c < unplaced[s]; ++c) {
+      const int m = PickMachine(working, s);
+      if (m < 0) {
+        ++result.lost_containers;
+      } else {
+        working.Add(m, s);
+      }
+    }
+  }
+}
+
+// Optional extension: local-search refinement with the leftover budget.
+void LocalSearchStage(const Cluster& cluster, const RasaOptions& options,
+                      const Deadline& deadline, Placement& working,
+                      ExplainReport& explain) {
+  if (!options.refine_with_local_search || deadline.Expired()) return;
+  const TraceSpan span("local_search");
+  LocalSearchOptions ls;
+  ls.deadline = deadline;
+  // Own stream, independent of how many solver seeds were drawn.
+  ls.seed = Rng(options.seed ^ kStreamSalt).Next();
+  explain.local_search = RefinePlacement(cluster, working, ls);
+  explain.local_search_ran = true;
+}
+
+// Explain report: the rest of the attribution waterfall (Optimize
+// recorded the merge and fallback steps), the optimality-gap certificate
+// anchored to the solver-phase value, and the placement diff. Records and
+// certificate terms were assembled by the merge. Observation-only —
+// nothing here touches the placement.
+void ExplainStage(const Cluster& cluster, const Placement& current,
+                  const PartitionResult& partition, const Placement& working,
+                  double solver_phase, RasaResult& result) {
+  ExplainReport& explain = result.report;
+  explain.populated = true;
+
+  double sum_internal = 0.0;
+  for (const Subproblem& sp : partition.subproblems) {
+    sum_internal += sp.internal_affinity;
+  }
+  const double total_weight = cluster.affinity().TotalWeight();
+  const double external = std::max(0.0, total_weight - sum_internal);
+
+  AttributionWaterfall& wf = explain.waterfall;
+  wf.local_search_delta = result.new_gained_affinity - solver_phase;
+  wf.total = result.new_gained_affinity;
+  wf.partition_cut_affinity = external;
+  wf.original_gained_affinity = result.original_gained_affinity;
+
+  QualityCertificate& cert = explain.certificate;
+  cert.achieved_solver_phase = solver_phase;
+  cert.achieved_final = result.new_gained_affinity;
+  cert.sum_internal_affinity = sum_internal;
+  cert.external_affinity = external;
+  double bound = external;
+  for (const CertificateTerm& term : cert.terms) {
+    bound += term.bound;
+    if (term.tightened) ++cert.tightened_terms;
+  }
+  cert.bound_solver_phase = bound;
+  cert.local_search_credit = std::max(0.0, wf.local_search_delta);
+  cert.bound_final = cert.bound_solver_phase + cert.local_search_credit;
+
+  explain.diff = BuildPlacementDiff(cluster, current, working);
+
+  if (SolveLedgerEnabled()) {
+    SolveLedger::Default().AppendAll(explain.records);
+  }
+}
+
+// Phase 3: the migration path to the optimized placement. A failed path
+// demotes the run to a dry-run.
+void MigrationStage(const Cluster& cluster, const Placement& current,
+                    const Placement& working, const MigrationOptions& options,
+                    RasaResult& result) {
+  const TraceSpan span("migration_path");
+  StatusOr<MigrationPlan> plan =
+      ComputeMigrationPath(cluster, current, working, options);
+  if (plan.ok()) {
+    result.migration = std::move(plan).value();
+  } else {
+    RASA_LOG(Warning) << "migration path failed: " << plan.status().ToString()
+                      << "; marking run as dry-run";
+    result.should_execute = false;
+  }
+}
+
+// Observation-only run metrics mirroring the RasaResult ladder counters;
+// nothing here feeds back into the placement.
+void RecordRunMetrics(const RasaResult& result, double improvement) {
+  MetricRegistry& reg = MetricRegistry::Default();
+  reg.GetCounter("rasa.runs").Increment();
+  if (!result.should_execute) reg.GetCounter("rasa.dry_runs").Increment();
+  const std::pair<const char*, int> counters[] = {
+      {"rasa.solver_failures", result.solver_failures},
+      {"rasa.secondary_successes", result.secondary_successes},
+      {"rasa.greedy_fallbacks", result.greedy_fallbacks},
+      {"rasa.breaker_skips", result.breaker_skips},
+      {"rasa.lost_containers", result.lost_containers},
+      {"rasa.moved_containers", result.moved_containers},
+      {"rasa.reused_subproblems", result.reused_subproblems},
+  };
+  for (const auto& [name, value] : counters) {
+    reg.GetCounter(name).Increment(static_cast<uint64_t>(value));
+  }
+  Histogram& sp_seconds = reg.GetHistogram("rasa.subproblem_seconds");
+  for (const SubproblemReport& report : result.subproblems) {
+    sp_seconds.Observe(report.seconds);
+  }
+  reg.GetHistogram("rasa.optimize_seconds").Observe(result.elapsed_seconds);
+  reg.GetGauge("rasa.improvement").Set(improvement);
+  reg.GetGauge("rasa.gained_affinity").Set(result.new_gained_affinity);
+  if (result.report.populated) {
+    reg.GetGauge("rasa.certificate_gap").Set(result.report.certificate.Gap());
+  }
+}
+
+}  // namespace
+
+StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
+                                             const Placement& current,
+                                             const OptimizeContext& ctx) const {
+  // Plan: a carried delta state reuses what the differ left clean. The
+  // differ runs before the clock starts; a cold partition counts against
+  // the budget.
+  IncrementalState* state = ctx.incremental;
+  DeltaPlan plan;
+  if (state != nullptr) {
+    plan = PlanFromDelta(cluster, current, *state, options_.delta);
+  }
   Stopwatch timer;
   const Deadline deadline = Deadline::AfterSeconds(options_.timeout_seconds);
   TraceSpan optimize_span("optimize");
-
   RasaResult result;
   result.original_gained_affinity = GainedAffinity(cluster, current);
-
-  // Phase 1: service partitioning + machine assignment — or, on the
-  // incremental path, the previous cycle's partitioning rebuilt by the
-  // caller (re-priced under this snapshot's weights).
-  PartitionResult repartition;
-  if (plan == nullptr) {
+  if (plan.cache == nullptr) {
+    // Cold is the all-dirty plan: service partitioning + machine assignment.
     TraceSpan span("partition");
-    repartition = PartitionServices(cluster, current, options_.partitioning);
+    plan.partition = PartitionServices(cluster, current, options_.partitioning);
+    plan.reuse.assign(plan.partition.subproblems.size(), 0);
   }
-  const PartitionResult& partition =
-      plan == nullptr ? repartition : plan->partition;
+  const PartitionResult& partition = plan.partition;
   result.partition_stats = partition.stats;
   const int num_subproblems = static_cast<int>(partition.subproblems.size());
+  const std::vector<int> order = CanonicalOrder(partition.subproblems);
 
-  // Canonical solve order: highest internal affinity first so the deadline
-  // starves only the tail, with an explicit index tie-break so the order —
-  // and therefore the merge below — is unambiguous.
-  std::vector<int> order(num_subproblems);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double aa = partition.subproblems[a].internal_affinity;
-    const double ab = partition.subproblems[b].internal_affinity;
-    return aa != ab ? aa > ab : a < b;
-  });
-
-  // Budget and ledger count only the subproblems that actually solve this
-  // run: reused ones consume no share of the deadline.
-  double total_affinity = 0.0;
-  int active_subproblems = 0;
-  for (int i = 0; i < num_subproblems; ++i) {
-    if (plan != nullptr && plan->reuse[i]) continue;
-    total_affinity += partition.subproblems[i].internal_affinity;
-    ++active_subproblems;
-  }
-  if (plan != nullptr) {
-    result.incremental = true;
-    result.dirty_subproblems = active_subproblems;
-    result.reused_subproblems = num_subproblems - active_subproblems;
+  // Capture into a scratch state and swap at the end, so `state` (which the
+  // plan aliases as its cache) is never mutated mid-run.
+  IncrementalState fresh;
+  IncrementalState* out_state = state != nullptr ? &fresh : nullptr;
+  if (state != nullptr) {
+    result.incremental = plan.cache != nullptr;
+    result.incremental_reason = plan.full_resolve_reason;
+    result.reused_subproblems = static_cast<int>(
+        std::count(plan.reuse.begin(), plan.reuse.end(), 1));
+    result.dirty_subproblems = num_subproblems - result.reused_subproblems;
   }
 
   // Worker pool resolution: an external pool wins; otherwise spin one up
   // when the options ask for more than one thread.
+  ThreadPool* pool = ctx.pool;
   const int requested = options_.num_threads == 0
                             ? ThreadPool::DefaultNumThreads()
                             : std::max(1, options_.num_threads);
@@ -333,692 +911,45 @@ StatusOr<RasaResult> RasaOptimizer::OptimizeWithPlan(
   }
   result.num_threads_used = pool != nullptr ? pool->num_threads() : 1;
 
-  // Phase 2a: batch algorithm selection (parallel GCN inference; pure, so
-  // scheduling cannot change the labels). On the incremental path only the
-  // dirty subproblems run inference; clean ones keep the label they were
-  // solved with (echoed into their reused ledger records).
-  const std::vector<PoolAlgorithm> selected = [&] {
-    TraceSpan span("select");
-    if (plan == nullptr) {
-      return selector_.SelectBatch(cluster, partition.subproblems, pool);
-    }
-    std::vector<PoolAlgorithm> labels(num_subproblems, PoolAlgorithm::kCg);
-    std::vector<Subproblem> dirty;
-    std::vector<int> dirty_idx;
-    for (int i = 0; i < num_subproblems; ++i) {
-      if (plan->reuse[i]) {
-        labels[i] =
-            static_cast<PoolAlgorithm>(plan->cache->subproblems[i].algorithm);
-      } else {
-        dirty.push_back(partition.subproblems[i]);
-        dirty_idx.push_back(i);
-      }
-    }
-    const std::vector<PoolAlgorithm> dirty_labels =
-        selector_.SelectBatch(cluster, dirty, pool);
-    for (size_t j = 0; j < dirty_idx.size(); ++j) {
-      labels[dirty_idx[j]] = dirty_labels[j];
-    }
-    return labels;
-  }();
+  const SolveInputs in{cluster, plan, options_,
+                       plan.hint ? *plan.hint : current};
+  const std::vector<PoolAlgorithm> selected =
+      SelectStage(cluster, plan, selector_, pool);
+  std::vector<SolveRecord> records =
+      SolveStage(in, selected, order, deadline, pool);
+  MergeState merged = MergeStage(in, selector_.policy(), order, deadline,
+                                 records, result, out_state);
+  if (out_state != nullptr) CaptureDeltaState(cluster, partition, out_state);
 
-  // Warm-start source handed to the solvers as the "original" placement:
-  // the prior incumbent on the incremental path (CG seeds its patterns from
-  // it, MIP takes it as the initial feasible solution), the live placement
-  // otherwise.
-  const Placement& warm_source = plan != nullptr ? *plan->hint : current;
-  const Placement* mip_hint = plan != nullptr ? plan->hint : nullptr;
-
-  // Phase 2b: speculative per-subproblem solves, fanned out across the
-  // pool. Shared state is confined to the deadline ledger and the advisory
-  // failure flags; everything else is per-record.
-  DeadlineLedger ledger(deadline, total_affinity, num_subproblems);
-  std::vector<SolveRecord> records(num_subproblems);
-
-  // failure_flags[a * n + p] == 1 iff the attempt of algorithm `a` at
-  // canonical position `p` ran and failed. The advisory breaker counts only
-  // positions *before* the asking one, so a flag it acts on is a failure
-  // the canonical replay is guaranteed to have seen too — pruning can skip
-  // wasted solver work but can never change the merged outcome.
-  std::vector<std::atomic<uint8_t>> failure_flags(
-      static_cast<size_t>(2 * std::max(1, num_subproblems)));
-  for (std::atomic<uint8_t>& flag : failure_flags) {
-    flag.store(0, std::memory_order_relaxed);
-  }
-  auto advisory_breaker_open = [&](PoolAlgorithm algorithm, int position) {
-    if (options_.circuit_breaker_failures <= 0) return false;
-    const int a = static_cast<int>(algorithm);
-    int failures = 0;
-    for (int p = 0; p < position; ++p) {
-      failures += failure_flags[static_cast<size_t>(a * num_subproblems + p)]
-                      .load(std::memory_order_acquire);
-    }
-    return failures >= options_.circuit_breaker_failures;
-  };
-  auto mark_failed = [&](PoolAlgorithm algorithm, int position) {
-    const int a = static_cast<int>(algorithm);
-    failure_flags[static_cast<size_t>(a * num_subproblems + position)].store(
-        1, std::memory_order_release);
-  };
-
-  // The solve phase is opened/closed by hand (no scope to hang the RAII
-  // span on); its id is the explicit parent of every per-subproblem span,
-  // because workers run on pool threads whose thread-local span stacks are
-  // empty.
-  const int64_t solve_parent = Tracer::Default().Begin("solve");
-
-  auto solve_one = [&](int position) {
-    const int idx = order[position];
-    // Reused subproblems skip the solvers entirely — no RNG draws, no
-    // budget reservation (per-subproblem streams are independent, so the
-    // dirty solves still draw exactly the seeds a full run would).
-    if (plan != nullptr && plan->reuse[idx]) return;
-    const Subproblem& sp = partition.subproblems[idx];
-    SolveRecord& rec = records[position];
-    TraceSpan sp_span(StrFormat("subproblem_%d", idx), solve_parent);
-    Stopwatch sp_timer;
-
-    // Per-subproblem RNG stream; both attempt seeds are drawn up front so
-    // they do not depend on which rungs actually run.
-    Rng sp_rng(options_.seed ^
-               (kStreamSalt * (static_cast<uint64_t>(idx) + 1)));
-    const uint64_t primary_seed = sp_rng.Next();
-    rec.secondary_seed = sp_rng.Next();
-
-    rec.primary = selected[idx];
-    rec.secondary = rec.primary == PoolAlgorithm::kCg ? PoolAlgorithm::kMip
-                                                      : PoolAlgorithm::kCg;
-    rec.use_pop = ShouldUsePop(options_.pop, sp);
-    const Deadline sp_deadline =
-        ledger.Reserve(sp.internal_affinity, &rec.budget);
-
-    if (deadline.Expired()) {
-      rec.primary_attempt.expired = true;
-    } else if (advisory_breaker_open(rec.primary, position)) {
-      rec.primary_attempt.pruned = true;
-    } else {
-      rec.primary_attempt.result =
-          rec.use_pop
-              ? RunPoolAlgorithmPop(rec.primary, cluster, sp,
-                                    partition.base_placement, warm_source,
-                                    sp_deadline, primary_seed, options_.pop,
-                                    &rec.primary_stats, mip_hint,
-                                    &rec.primary_pop)
-              : RunPoolAlgorithm(rec.primary, cluster, sp,
-                                 partition.base_placement, warm_source,
-                                 sp_deadline, primary_seed,
-                                 &rec.primary_stats, mip_hint);
-      if (!rec.primary_attempt.result->ok()) {
-        mark_failed(rec.primary, position);
-      }
-    }
-
-    const bool primary_ok =
-        rec.primary_attempt.result && rec.primary_attempt.result->ok();
-    if (!primary_ok && options_.try_secondary_algorithm) {
-      // Rung 2 of the ladder, speculatively: the other pool algorithm on a
-      // fresh slice of whatever global budget remains.
-      rec.secondary_considered = true;
-      if (deadline.Expired()) {
-        rec.secondary_attempt.expired = true;
-      } else if (advisory_breaker_open(rec.secondary, position)) {
-        rec.secondary_attempt.pruned = true;
-      } else {
-        const Deadline secondary_deadline =
-            deadline.ClampedToSeconds(std::max(0.02, 0.5 * rec.budget));
-        rec.secondary_attempt.result =
-            rec.use_pop
-                ? RunPoolAlgorithmPop(rec.secondary, cluster, sp,
-                                      partition.base_placement, warm_source,
-                                      secondary_deadline, rec.secondary_seed,
-                                      options_.pop, &rec.secondary_stats,
-                                      mip_hint, &rec.secondary_pop)
-                : RunPoolAlgorithm(rec.secondary, cluster, sp,
-                                   partition.base_placement, warm_source,
-                                   secondary_deadline, rec.secondary_seed,
-                                   &rec.secondary_stats, mip_hint);
-        if (!rec.secondary_attempt.result->ok()) {
-          mark_failed(rec.secondary, position);
-        }
-      }
-    }
-    rec.seconds = sp_timer.ElapsedSeconds();
-  };
-
-  if (pool != nullptr) {
-    pool->ParallelFor(num_subproblems, solve_one);
-  } else {
-    for (int position = 0; position < num_subproblems; ++position) {
-      solve_one(position);
-    }
-  }
-  Tracer::Default().End(solve_parent);
-  const int64_t merge_id = Tracer::Default().Begin("merge");
-
-  // Phase 2c: merge in canonical order. The degradation ladder, breaker,
-  // and counters are *replayed* here single-threaded, so the merged
-  // placement and every counter are independent of worker scheduling.
-  Placement working = partition.base_placement;
-  // Waterfall snapshot A1: affinity already delivered by the trivial
-  // residents the partition kept in place.
-  const double base_affinity = GainedAffinity(cluster, working);
-  std::vector<int> unplaced(cluster.num_services(), 0);
-  int algorithm_failures[2] = {0, 0};
-  auto breaker_open = [&](PoolAlgorithm algorithm) {
-    return options_.circuit_breaker_failures > 0 &&
-           algorithm_failures[static_cast<int>(algorithm)] >=
-               options_.circuit_breaker_failures;
-  };
-
-  if (out_state != nullptr) {
-    out_state->subproblems.assign(static_cast<size_t>(num_subproblems),
-                                  SubproblemCache{});
-  }
-
-  for (int position = 0; position < num_subproblems; ++position) {
-    const int idx = order[position];
-    const Subproblem& sp = partition.subproblems[idx];
-    if (plan != nullptr && plan->reuse[idx]) {
-      const SubproblemCache& cache = plan->cache->subproblems[idx];
-      SubproblemReport report;
-      report.num_services = static_cast<int>(sp.services.size());
-      report.num_machines = static_cast<int>(sp.machines.size());
-      report.internal_affinity = sp.internal_affinity;
-      report.algorithm = static_cast<PoolAlgorithm>(cache.algorithm);
-      report.used_secondary = cache.used_secondary;
-      report.failed = cache.fell_to_greedy;
-      report.unplaced_containers = cache.unplaced;
-
-      // Re-apply the cached assignments; the CanPlace guard (plus the
-      // partial-fit loop) absorbs any residual shrinkage the differ
-      // tolerated, handing whatever no longer fits to the global fallback.
-      std::vector<int> local_service(cluster.num_services(), -1);
-      for (size_t i = 0; i < sp.services.size(); ++i) {
-        local_service[sp.services[i]] = static_cast<int>(i);
-      }
-      std::vector<int> local_machine(cluster.num_machines(), -1);
-      for (size_t j = 0; j < sp.machines.size(); ++j) {
-        local_machine[sp.machines[j]] = static_cast<int>(j);
-      }
-      std::vector<std::vector<int>> counts(
-          sp.services.size(), std::vector<int>(sp.machines.size(), 0));
-      std::vector<int> placed(cluster.num_services(), 0);
-      std::vector<SubproblemSolution::Assignment> applied;
-      for (const SubproblemSolution::Assignment& a : cache.assignments) {
-        int fit = 0;
-        if (working.CanPlace(a.machine, a.service, a.count)) {
-          working.Add(a.machine, a.service, a.count);
-          fit = a.count;
-        } else {
-          while (fit < a.count && working.CanPlace(a.machine, a.service)) {
-            working.Add(a.machine, a.service);
-            ++fit;
-          }
-        }
-        if (fit > 0) {
-          placed[a.service] += fit;
-          counts[local_service[a.service]][local_machine[a.machine]] += fit;
-          applied.push_back({a.service, a.machine, fit});
-        }
-      }
-      int sp_unplaced = 0;
-      for (int s : sp.services) {
-        unplaced[s] += cluster.service(s).demand - placed[s];
-        sp_unplaced += cluster.service(s).demand - placed[s];
-      }
-      // Realized value re-priced under this snapshot's weights.
-      report.gained_affinity = SubproblemGainedAffinity(cluster, sp, counts);
-      result.subproblems.push_back(report);
-
-      LedgerRecord lrec;
-      lrec.subproblem = idx;
-      lrec.position = position;
-      lrec.num_services = report.num_services;
-      lrec.num_machines = report.num_machines;
-      lrec.internal_affinity = sp.internal_affinity;
-      lrec.selector_policy = selector_.policy();
-      lrec.selected = report.algorithm;
-      lrec.reused = true;
-      lrec.used_secondary = cache.used_secondary;
-      lrec.fell_to_greedy = cache.fell_to_greedy;
-      lrec.ladder_rung = cache.ladder_rung;
-      lrec.realized_affinity = report.gained_affinity;
-      lrec.unplaced_containers = sp_unplaced;
-
-      // Certificate term from the cached bound, reused only while it is
-      // still sound for this snapshot: the original tightening held, every
-      // cached container fits again now, no machine regained capacity since
-      // the solve, and the weight ratio inflates away any tolerated edge
-      // growth (see DESIGN.md "Incremental re-optimization").
-      CertificateTerm term;
-      term.subproblem = idx;
-      term.internal_affinity = sp.internal_affinity;
-      term.realized = report.gained_affinity;
-      term.bound = sp.internal_affinity;
-      if (cache.tightened && sp_unplaced == 0 &&
-          !plan->residual_increased[idx]) {
-        const double candidate = std::max(
-            plan->weight_ratio[idx] * cache.bound, report.gained_affinity);
-        if (candidate < sp.internal_affinity) {
-          term.bound = candidate;
-          term.tightened = true;
-          term.source = cache.bound_source;
-        }
-      }
-      lrec.certificate_bound = term.bound;
-      lrec.bound_tightened = term.tightened;
-      result.report.certificate.terms.push_back(term);
-      result.report.records.push_back(std::move(lrec));
-
-      if (out_state != nullptr) {
-        SubproblemCache& cap = out_state->subproblems[idx];
-        cap.subproblem = sp;
-        cap.assignments = std::move(applied);
-        cap.unplaced = sp_unplaced;
-        cap.realized = report.gained_affinity;
-        cap.bound = term.bound;
-        cap.tightened = term.tightened;
-        cap.bound_source = term.source;
-        cap.algorithm = cache.algorithm;
-        cap.used_secondary = cache.used_secondary;
-        cap.fell_to_greedy = cache.fell_to_greedy;
-        cap.ladder_rung = cache.ladder_rung;
-      }
-      continue;
-    }
-
-    SolveRecord& rec = records[position];
-    SubproblemReport report;
-    report.num_services = static_cast<int>(sp.services.size());
-    report.num_machines = static_cast<int>(sp.machines.size());
-    report.internal_affinity = sp.internal_affinity;
-    report.algorithm = rec.primary;
-    report.seconds = rec.seconds;
-
-    // Flight-recorder entry, filled as the replayed ladder decides each
-    // rung (never from the workers' advisory decisions, so the record
-    // sequence is scheduling-independent).
-    LedgerRecord lrec;
-    lrec.subproblem = idx;
-    lrec.position = position;
-    lrec.num_services = report.num_services;
-    lrec.num_machines = report.num_machines;
-    lrec.internal_affinity = sp.internal_affinity;
-    lrec.selector_policy = selector_.policy();
-    lrec.selected = rec.primary;
-    lrec.budget_seconds = rec.budget;
-    lrec.seconds = rec.seconds;
-
-    // Rung 1: the selected algorithm.
-    const SubproblemSolution* solution = nullptr;
-    if (rec.primary_attempt.expired) {
-      // Global budget was exhausted: no attempt, no counters (matches the
-      // sequential ladder).
-      lrec.primary =
-          MakeAttempt(rec.primary, AttemptOutcome::kExpired, nullptr);
-    } else if (breaker_open(rec.primary)) {
-      ++result.breaker_skips;
-      lrec.primary = MakeAttempt(rec.primary, AttemptOutcome::kPruned, nullptr);
-    } else if (rec.primary_attempt.result) {
-      if (rec.primary_attempt.result->ok()) {
-        solution = &rec.primary_attempt.result->value();
-        lrec.primary =
-            MakeAttempt(rec.primary, AttemptOutcome::kOk, &rec.primary_stats);
-      } else {
-        ++algorithm_failures[static_cast<int>(rec.primary)];
-        ++result.solver_failures;
-        lrec.primary = MakeAttempt(rec.primary, AttemptOutcome::kFailed,
-                                   &rec.primary_stats);
-      }
-    } else {
-      // Advisory-pruned: by construction the replayed breaker is open here
-      // too, so the branch above must have caught it.
-      RASA_LOG(Warning) << "subproblem " << idx
-                        << ": advisory prune without open breaker";
-      ++result.breaker_skips;
-      lrec.primary = MakeAttempt(rec.primary, AttemptOutcome::kPruned, nullptr);
-    }
-
-    // Rung 2: the other pool algorithm.
-    StatusOr<SubproblemSolution> repair =
-        InternalError("secondary not attempted");
-    PoolAttemptStats repair_stats;
-    PopStats repair_pop;
-    if (solution == nullptr && options_.try_secondary_algorithm &&
-        breaker_open(rec.secondary)) {
-      lrec.secondary =
-          MakeAttempt(rec.secondary, AttemptOutcome::kPruned, nullptr);
-    }
-    if (solution == nullptr && options_.try_secondary_algorithm &&
-        !breaker_open(rec.secondary)) {
-      const StatusOr<SubproblemSolution>* secondary = nullptr;
-      const PoolAttemptStats* secondary_stats = nullptr;
-      if (rec.secondary_considered) {
-        if (rec.secondary_attempt.result) {
-          secondary = &*rec.secondary_attempt.result;
-          secondary_stats = &rec.secondary_stats;
-        } else if (rec.secondary_attempt.expired) {
-          lrec.secondary =
-              MakeAttempt(rec.secondary, AttemptOutcome::kExpired, nullptr);
-        }
-        // expired / pruned: the sequential ladder would have skipped the
-        // rung at this point too (pruned implies the breaker is open, which
-        // the gate above already rejected).
-      } else if (!deadline.Expired()) {
-        // The worker saw its primary succeed, but the replayed breaker
-        // discarded it (the breaker opened later in wall-clock, earlier in
-        // canonical order). Solve the rung now, with the pre-assigned seed
-        // and the same budget slice a sequential run would use.
-        const Deadline repair_deadline =
-            deadline.ClampedToSeconds(std::max(0.02, 0.5 * rec.budget));
-        repair = rec.use_pop
-                     ? RunPoolAlgorithmPop(rec.secondary, cluster, sp,
-                                           partition.base_placement,
-                                           warm_source, repair_deadline,
-                                           rec.secondary_seed, options_.pop,
-                                           &repair_stats, mip_hint,
-                                           &repair_pop)
-                     : RunPoolAlgorithm(rec.secondary, cluster, sp,
-                                        partition.base_placement, warm_source,
-                                        repair_deadline, rec.secondary_seed,
-                                        &repair_stats, mip_hint);
-        secondary = &repair;
-        secondary_stats = &repair_stats;
-        rec.secondary_pop = repair_pop;
-      }
-      if (secondary != nullptr) {
-        if (secondary->ok()) {
-          RASA_LOG(Info) << "subproblem " << idx << ": "
-                         << PoolAlgorithmToString(rec.primary) << " failed, "
-                         << PoolAlgorithmToString(rec.secondary)
-                         << " rescued it";
-          solution = &secondary->value();
-          report.used_secondary = true;
-          ++result.secondary_successes;
-          lrec.secondary =
-              MakeAttempt(rec.secondary, AttemptOutcome::kOk, secondary_stats);
-        } else {
-          ++algorithm_failures[static_cast<int>(rec.secondary)];
-          ++result.solver_failures;
-          lrec.secondary = MakeAttempt(rec.secondary, AttemptOutcome::kFailed,
-                                       secondary_stats);
-        }
-      }
-    }
-
-    // Containers of this subproblem's services the merge could NOT keep on
-    // the subproblem's own machines (they go to the global fallback).
-    int sp_unplaced = 0;
-    // What actually landed, captured for the next cycle's delta cache.
-    std::vector<SubproblemSolution::Assignment> applied;
-    if (solution == nullptr) {
-      report.failed = true;
-      ++result.greedy_fallbacks;
-      RASA_LOG(Info) << "subproblem " << idx << " ("
-                     << PoolAlgorithmToString(report.algorithm)
-                     << ") fell through the ladder; using affinity greedy";
-      // Affinity-aware greedy fallback: far better than scattering the
-      // containers through the default scheduler.
-      SubproblemSolution greedy = GreedyAffinityPlace(cluster, sp, working);
-      report.gained_affinity = greedy.gained_affinity;
-      report.unplaced_containers = greedy.unplaced_containers;
-      std::vector<int> placed(cluster.num_services(), 0);
-      for (const SubproblemSolution::Assignment& a : greedy.assignments) {
-        placed[a.service] += a.count;  // greedy already added to `working`
-      }
-      for (int s : sp.services) {
-        unplaced[s] += cluster.service(s).demand - placed[s];
-        sp_unplaced += cluster.service(s).demand - placed[s];
-      }
-      applied = std::move(greedy.assignments);
-    } else {
-      // Apply the assignments to the working placement; defensively skip
-      // anything that no longer fits.
-      std::vector<int> placed(cluster.num_services(), 0);
-      for (const SubproblemSolution::Assignment& a : solution->assignments) {
-        int fit = 0;
-        if (working.CanPlace(a.machine, a.service, a.count)) {
-          working.Add(a.machine, a.service, a.count);
-          fit = a.count;
-        } else {
-          // Try placing as many as fit.
-          while (fit < a.count && working.CanPlace(a.machine, a.service)) {
-            working.Add(a.machine, a.service);
-            ++fit;
-          }
-        }
-        placed[a.service] += fit;
-        if (fit > 0) applied.push_back({a.service, a.machine, fit});
-      }
-      for (int s : sp.services) {
-        unplaced[s] += cluster.service(s).demand - placed[s];
-        sp_unplaced += cluster.service(s).demand - placed[s];
-      }
-      report.gained_affinity = solution->gained_affinity;
-      report.unplaced_containers = solution->unplaced_containers;
-    }
-    if (rec.use_pop && !report.failed) {
-      report.used_pop = true;
-      const PopStats& pop =
-          report.used_secondary ? rec.secondary_pop : rec.primary_pop;
-      report.pop_replicas = pop.replicas;
-      report.pop_cut_affinity = pop.cut_affinity;
-      // POP attempts never surface a CG/MIP bound, so the certificate term
-      // below stays at the trivial internal_affinity bound: the measured
-      // give-up of the split is simply bound - realized.
-      report.pop_quality_loss =
-          std::max(0.0, sp.internal_affinity - report.gained_affinity);
-      ++result.pop_splits;
-      result.pop_quality_loss += report.pop_quality_loss;
-    }
-    result.subproblems.push_back(report);
-
-    lrec.used_secondary = report.used_secondary;
-    lrec.fell_to_greedy = report.failed;
-    lrec.ladder_rung = report.failed ? 2 : (report.used_secondary ? 1 : 0);
-    lrec.realized_affinity = report.gained_affinity;
-    lrec.unplaced_containers = sp_unplaced;
-    const SolveAttempt* winner =
-        report.failed ? nullptr
-                      : (report.used_secondary ? &lrec.secondary
-                                               : &lrec.primary);
-    CertificateTerm term = MakeCertificateTerm(
-        idx, sp.internal_affinity, report.gained_affinity, sp_unplaced,
-        winner);
-    // A POP union is a heuristic over an unseen edge cut — mark its term so
-    // gap consumers can attribute looseness to the split (the bound itself
-    // is already trivial because POP attempts carry no solver bound).
-    if (report.used_pop) term.source = "pop";
-    lrec.certificate_bound = term.bound;
-    lrec.bound_tightened = term.tightened;
-
-    if (out_state != nullptr) {
-      SubproblemCache& cap = out_state->subproblems[idx];
-      cap.subproblem = sp;
-      cap.assignments = std::move(applied);
-      cap.unplaced = sp_unplaced;
-      cap.realized = report.gained_affinity;
-      cap.bound = term.bound;
-      cap.tightened = term.tightened;
-      cap.bound_source = term.source;
-      cap.algorithm = static_cast<int>(report.algorithm);
-      cap.used_secondary = report.used_secondary;
-      cap.fell_to_greedy = report.failed;
-      cap.ladder_rung = lrec.ladder_rung;
-    }
-
-    result.report.certificate.terms.push_back(term);
-    result.report.records.push_back(std::move(lrec));
-  }
-  Tracer::Default().End(merge_id);
-
-  if (out_state != nullptr) {
-    // Residuals the solvers observed (base = trivial residents only),
-    // diffed by the next cycle's DiffSnapshot against its fresh snapshot.
-    const int num_resources = cluster.num_resources();
-    for (int i = 0; i < num_subproblems; ++i) {
-      const Subproblem& sp = partition.subproblems[i];
-      std::vector<double>& res = out_state->subproblems[i].residuals;
-      res.assign(sp.machines.size() * static_cast<size_t>(num_resources),
-                 0.0);
-      for (size_t j = 0; j < sp.machines.size(); ++j) {
-        for (int r = 0; r < num_resources; ++r) {
-          res[j * num_resources + r] =
-              partition.base_placement.FreeResource(sp.machines[j], r);
-        }
-      }
-    }
-    out_state->valid = true;
-    out_state->structure_signature = ClusterStructureSignature(cluster);
-    out_state->num_services = cluster.num_services();
-    out_state->num_machines = cluster.num_machines();
-    out_state->num_resources = num_resources;
-    out_state->master_ratio = partition.stats.master_ratio;
-    out_state->master_affinity = partition.stats.master_affinity;
-  }
-
-  // Waterfall snapshot A2: what the subproblem solvers delivered at merge.
+  // Attribution waterfall: the trivial residents the partition kept in
+  // place, what the subproblem solvers delivered at merge, what the
+  // default-scheduler fallback added (the solver-phase value).
+  Placement& working = merged.working;
+  AttributionWaterfall& wf = result.report.waterfall;
+  wf.base_retained = GainedAffinity(cluster, partition.base_placement);
   const double merged_affinity = GainedAffinity(cluster, working);
-
-  // Combine: default-scheduler fallback for unplaced crucial containers.
-  {
-    const TraceSpan fallback_span("fallback");
-    for (int s = 0; s < cluster.num_services(); ++s) {
-      for (int c = 0; c < unplaced[s]; ++c) {
-        if (FallbackPlaceOne(cluster, working, s) < 0) {
-          ++result.lost_containers;
-        }
-      }
-    }
-  }
-
-  // Waterfall snapshot A3: after the default-scheduler fallback — the
-  // solver-phase value the quality certificate is anchored to.
-  const double fallback_affinity = GainedAffinity(cluster, working);
-
-  // Optional extension: local-search refinement with the leftover budget.
-  LocalSearchStats ls_stats;
-  bool ls_ran = false;
-  if (options_.refine_with_local_search && !deadline.Expired()) {
-    const TraceSpan ls_span("local_search");
-    LocalSearchOptions ls;
-    ls.deadline = deadline;
-    // Own stream, independent of how many solver seeds were drawn.
-    ls.seed = Rng(options_.seed ^ kStreamSalt).Next();
-    ls_stats = RefinePlacement(cluster, working, ls);
-    ls_ran = true;
-  }
-
+  wf.solver_gain = merged_affinity - wf.base_retained;
+  FallbackStage(cluster, merged.unplaced, working, result);
+  const double solver_phase = GainedAffinity(cluster, working);
+  wf.fallback_delta = solver_phase - merged_affinity;
+  LocalSearchStage(cluster, options_, deadline, working, result.report);
   result.new_gained_affinity = GainedAffinity(cluster, working);
   result.moved_containers = working.DiffCount(current);
-
-  // Explain report: attribution waterfall, optimality-gap certificate, and
-  // placement diff (records and certificate terms were assembled by the
-  // merge). Observation-only — nothing below touches the placement.
-  {
-    ExplainReport& explain = result.report;
-    explain.populated = true;
-
-    double sum_internal = 0.0;
-    for (const Subproblem& sp : partition.subproblems) {
-      sum_internal += sp.internal_affinity;
-    }
-    const double total_weight = cluster.affinity().TotalWeight();
-    const double external = std::max(0.0, total_weight - sum_internal);
-
-    AttributionWaterfall& wf = explain.waterfall;
-    wf.base_retained = base_affinity;
-    wf.solver_gain = merged_affinity - base_affinity;
-    wf.fallback_delta = fallback_affinity - merged_affinity;
-    wf.local_search_delta = result.new_gained_affinity - fallback_affinity;
-    wf.total = result.new_gained_affinity;
-    wf.partition_cut_affinity = external;
-    wf.original_gained_affinity = result.original_gained_affinity;
-
-    QualityCertificate& cert = explain.certificate;
-    cert.achieved_solver_phase = fallback_affinity;
-    cert.achieved_final = result.new_gained_affinity;
-    cert.sum_internal_affinity = sum_internal;
-    cert.external_affinity = external;
-    double bound = external;
-    for (const CertificateTerm& term : cert.terms) {
-      bound += term.bound;
-      if (term.tightened) ++cert.tightened_terms;
-    }
-    cert.bound_solver_phase = bound;
-    cert.local_search_credit = std::max(0.0, wf.local_search_delta);
-    cert.bound_final = cert.bound_solver_phase + cert.local_search_credit;
-
-    explain.local_search_ran = ls_ran;
-    explain.local_search = ls_stats;
-    explain.diff = BuildPlacementDiff(cluster, current, working);
-
-    if (SolveLedgerEnabled()) {
-      SolveLedger::Default().AppendAll(explain.records);
-    }
-  }
+  ExplainStage(cluster, current, partition, working, solver_phase, result);
 
   // Dry-run rule (§III-B): execute only on >= min_improvement relative gain.
   const double base = std::max(result.original_gained_affinity, 1e-9);
   const double improvement =
       (result.new_gained_affinity - result.original_gained_affinity) / base;
   result.should_execute = improvement >= options_.min_improvement;
-
-  // Phase 3: migration path.
   if (options_.compute_migration && result.should_execute) {
-    const TraceSpan migration_span("migration_path");
-    StatusOr<MigrationPlan> plan =
-        ComputeMigrationPath(cluster, current, working, options_.migration);
-    if (plan.ok()) {
-      result.migration = std::move(plan).value();
-    } else {
-      RASA_LOG(Warning) << "migration path failed: "
-                        << plan.status().ToString()
-                        << "; marking run as dry-run";
-      result.should_execute = false;
-    }
+    MigrationStage(cluster, current, working, options_.migration, result);
   }
 
   result.new_placement = std::move(working);
   result.elapsed_seconds = timer.ElapsedSeconds();
-
-  // Observation-only run metrics mirroring the RasaResult ladder counters;
-  // nothing below feeds back into the placement.
-  {
-    MetricRegistry& reg = MetricRegistry::Default();
-    static Counter& runs = reg.GetCounter("rasa.runs");
-    static Counter& dry_runs = reg.GetCounter("rasa.dry_runs");
-    static Counter& solver_failures = reg.GetCounter("rasa.solver_failures");
-    static Counter& secondary = reg.GetCounter("rasa.secondary_successes");
-    static Counter& greedy = reg.GetCounter("rasa.greedy_fallbacks");
-    static Counter& breaker = reg.GetCounter("rasa.breaker_skips");
-    static Counter& lost = reg.GetCounter("rasa.lost_containers");
-    static Counter& moved = reg.GetCounter("rasa.moved_containers");
-    static Counter& reused_sps = reg.GetCounter("rasa.reused_subproblems");
-    static Histogram& sp_seconds = reg.GetHistogram("rasa.subproblem_seconds");
-    static Histogram& opt_seconds = reg.GetHistogram("rasa.optimize_seconds");
-    static Gauge& improvement_gauge = reg.GetGauge("rasa.improvement");
-    static Gauge& gained_gauge = reg.GetGauge("rasa.gained_affinity");
-    static Gauge& gap_gauge = reg.GetGauge("rasa.certificate_gap");
-    runs.Increment();
-    if (!result.should_execute) dry_runs.Increment();
-    solver_failures.Increment(static_cast<uint64_t>(result.solver_failures));
-    secondary.Increment(static_cast<uint64_t>(result.secondary_successes));
-    greedy.Increment(static_cast<uint64_t>(result.greedy_fallbacks));
-    breaker.Increment(static_cast<uint64_t>(result.breaker_skips));
-    lost.Increment(static_cast<uint64_t>(result.lost_containers));
-    moved.Increment(static_cast<uint64_t>(result.moved_containers));
-    reused_sps.Increment(static_cast<uint64_t>(result.reused_subproblems));
-    for (const SubproblemReport& report : result.subproblems) {
-      sp_seconds.Observe(report.seconds);
-    }
-    opt_seconds.Observe(result.elapsed_seconds);
-    improvement_gauge.Set(improvement);
-    gained_gauge.Set(result.new_gained_affinity);
-    if (result.report.populated) {
-      gap_gauge.Set(result.report.certificate.Gap());
-    }
-  }
+  RecordRunMetrics(result, improvement);
+  if (state != nullptr) *state = std::move(fresh);
   return result;
 }
 

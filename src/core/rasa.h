@@ -185,15 +185,6 @@ class RasaOptimizer {
   const RasaOptions& options() const { return options_; }
 
  private:
-  /// Shared implementation: a null `plan` is the stock full resolve
-  /// (bit-identical to the pre-incremental pipeline); a non-null `plan`
-  /// supplies the partition and the reuse/re-solve split. When `out_state`
-  /// is non-null, the merge captures this run's solutions into it.
-  StatusOr<RasaResult> OptimizeWithPlan(const Cluster& cluster,
-                                        const Placement& current,
-                                        ThreadPool* pool, const DeltaPlan* plan,
-                                        IncrementalState* out_state) const;
-
   RasaOptions options_;
   AlgorithmSelector selector_;
 };

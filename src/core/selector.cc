@@ -99,17 +99,17 @@ PoolAlgorithm AlgorithmSelector::Select(const Cluster& cluster,
 }
 
 std::vector<PoolAlgorithm> AlgorithmSelector::SelectBatch(
-    const Cluster& cluster, const std::vector<Subproblem>& subproblems,
+    const Cluster& cluster, const std::vector<const Subproblem*>& subproblems,
     ThreadPool* pool) const {
   std::vector<PoolAlgorithm> out(subproblems.size(), PoolAlgorithm::kCg);
   if (pool == nullptr || subproblems.size() <= 1) {
     for (size_t i = 0; i < subproblems.size(); ++i) {
-      out[i] = Select(cluster, subproblems[i]);
+      out[i] = Select(cluster, *subproblems[i]);
     }
     return out;
   }
   pool->ParallelFor(static_cast<int>(subproblems.size()), [&](int i) {
-    out[i] = Select(cluster, subproblems[i]);
+    out[i] = Select(cluster, *subproblems[i]);
   });
   return out;
 }

@@ -60,7 +60,7 @@ class AlgorithmSelector {
   /// selection is pure, so the result is identical to a Select loop
   /// regardless of scheduling.
   std::vector<PoolAlgorithm> SelectBatch(
-      const Cluster& cluster, const std::vector<Subproblem>& subproblems,
+      const Cluster& cluster, const std::vector<const Subproblem*>& subproblems,
       ThreadPool* pool = nullptr) const;
 
  private:

@@ -63,4 +63,26 @@ double SubproblemGainedAffinity(const Cluster& cluster,
   return total;
 }
 
+double SubproblemGainedAffinity(
+    const Cluster& cluster, const Subproblem& subproblem,
+    const std::vector<SubproblemSolution::Assignment>& assignments) {
+  std::vector<int> local_service(cluster.num_services(), -1);
+  for (size_t i = 0; i < subproblem.services.size(); ++i) {
+    local_service[subproblem.services[i]] = static_cast<int>(i);
+  }
+  std::vector<int> local_machine(cluster.num_machines(), -1);
+  for (size_t j = 0; j < subproblem.machines.size(); ++j) {
+    local_machine[subproblem.machines[j]] = static_cast<int>(j);
+  }
+  std::vector<std::vector<int>> counts(
+      subproblem.services.size(),
+      std::vector<int>(subproblem.machines.size(), 0));
+  for (const SubproblemSolution::Assignment& a : assignments) {
+    const int s = local_service[a.service];
+    const int m = local_machine[a.machine];
+    if (s >= 0 && m >= 0) counts[s][m] += a.count;
+  }
+  return SubproblemGainedAffinity(cluster, subproblem, counts);
+}
+
 }  // namespace rasa

@@ -56,6 +56,12 @@ double SubproblemGainedAffinity(const Cluster& cluster,
                                 const Subproblem& subproblem,
                                 const std::vector<std::vector<int>>& x);
 
+/// The same, for assignments in global ids (several may name one
+/// service/machine pair); assignments outside the subproblem are ignored.
+double SubproblemGainedAffinity(
+    const Cluster& cluster, const Subproblem& subproblem,
+    const std::vector<SubproblemSolution::Assignment>& assignments);
+
 }  // namespace rasa
 
 #endif  // RASA_CORE_SUBPROBLEM_H_

@@ -29,20 +29,20 @@ TEST(BenchCompareParseTest, ParsesTheWriterFormat) {
   ASSERT_EQ(rows.size(), 2u);
   ASSERT_EQ(rows[0].size(), 4u);
   EXPECT_EQ(rows[0][0].first, "cluster");
-  EXPECT_EQ(rows[0][0].second.kind, BenchValue::Kind::kString);
-  EXPECT_EQ(rows[0][0].second.str, "M1");
-  EXPECT_EQ(rows[0][1].second.kind, BenchValue::Kind::kNumber);
-  EXPECT_EQ(rows[0][1].second.num, 1.0);
-  EXPECT_EQ(rows[0][2].second.num, 0.25048828124999997);
+  EXPECT_EQ(rows[0][0].second.kind, JsonValue::Kind::kString);
+  EXPECT_EQ(rows[0][0].second.string, "M1");
+  EXPECT_EQ(rows[0][1].second.kind, JsonValue::Kind::kNumber);
+  EXPECT_EQ(rows[0][1].second.number, 1.0);
+  EXPECT_EQ(rows[0][2].second.number, 0.25048828124999997);
   EXPECT_TRUE(rows[0][3].second.boolean);
-  EXPECT_EQ(rows[1][3].second.kind, BenchValue::Kind::kNull);
+  EXPECT_EQ(rows[1][3].second.kind, JsonValue::Kind::kNull);
 }
 
 TEST(BenchCompareParseTest, DecodesStringEscapes) {
   const std::vector<BenchRow> rows = MustParse(
       "[{\"name\": \"a\\\"b\\\\c\\n\\t\\u0041\\u00e9\"}]");
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0].second.str, "a\"b\\c\n\tA\xc3\xa9");
+  EXPECT_EQ(rows[0][0].second.string, "a\"b\\c\n\tA\xc3\xa9");
 }
 
 TEST(BenchCompareParseTest, EmptyArrayAndErrors) {
@@ -71,19 +71,19 @@ TEST(BenchCompareTest, MetricClassification) {
 BenchRow Row(const std::string& cluster, int threads, double seconds,
              double affinity) {
   BenchRow row;
-  BenchValue name;
-  name.kind = BenchValue::Kind::kString;
-  name.str = cluster;
+  JsonValue name;
+  name.kind = JsonValue::Kind::kString;
+  name.string = cluster;
   row.emplace_back("cluster", name);
-  BenchValue t;
-  t.kind = BenchValue::Kind::kNumber;
-  t.num = threads;
+  JsonValue t;
+  t.kind = JsonValue::Kind::kNumber;
+  t.number = threads;
   row.emplace_back("threads", t);
-  BenchValue s = t;
-  s.num = seconds;
+  JsonValue s = t;
+  s.number = seconds;
   row.emplace_back("seconds", s);
-  BenchValue a = t;
-  a.num = affinity;
+  JsonValue a = t;
+  a.number = affinity;
   row.emplace_back("gained_affinity", a);
   return row;
 }

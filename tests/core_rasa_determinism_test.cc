@@ -16,62 +16,26 @@
 #include "core/objective.h"
 #include "core/rasa.h"
 #include "gtest/gtest.h"
+#include "rasa_test_util.h"
 #include "sim/workflow.h"
 
 namespace rasa {
 namespace {
 
 ClusterSnapshot MakeCluster(uint64_t seed) {
-  ClusterSpec spec = M1Spec(48.0);
-  spec.seed = seed;
-  StatusOr<ClusterSnapshot> snapshot = GenerateCluster(spec);
-  RASA_CHECK(snapshot.ok()) << snapshot.status().ToString();
-  return std::move(snapshot).value();
+  return testing::MakeSnapshot(M1Spec(48.0), seed);
 }
 
-RasaResult RunOptimize(const ClusterSnapshot& snapshot, RasaOptions options,
-                       int threads) {
-  options.num_threads = threads;
-  // Small subproblems keep the exact solvers' worst case well under the
-  // generous deadline on every seed (bounded, scheduling-independent work).
-  options.partitioning.max_subproblem_services = 12;
-  RasaOptimizer optimizer(options,
-                          AlgorithmSelector(SelectorPolicy::kHeuristic));
-  StatusOr<RasaResult> result =
-      optimizer.Optimize(*snapshot.cluster, snapshot.original_placement);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return std::move(result).value();
+RasaResult RunOptimize(const ClusterSnapshot& snapshot,
+                       const RasaOptions& options, int threads) {
+  return testing::OptimizeSmallSubproblems(snapshot, options, threads);
 }
 
-// Bit-exact equality of everything except wall-clock timings.
+// Bit-exact equality of everything except wall-clock timings (and the
+// thread count itself).
 void ExpectIdenticalResults(const RasaResult& seq, const RasaResult& par) {
-  EXPECT_EQ(seq.new_placement.DiffCount(par.new_placement), 0);
-  EXPECT_EQ(par.new_placement.DiffCount(seq.new_placement), 0);
-  EXPECT_EQ(seq.new_gained_affinity, par.new_gained_affinity);
-  EXPECT_EQ(seq.original_gained_affinity, par.original_gained_affinity);
-  EXPECT_EQ(seq.should_execute, par.should_execute);
-  EXPECT_EQ(seq.moved_containers, par.moved_containers);
-  EXPECT_EQ(seq.lost_containers, par.lost_containers);
-  EXPECT_EQ(seq.solver_failures, par.solver_failures);
-  EXPECT_EQ(seq.secondary_successes, par.secondary_successes);
-  EXPECT_EQ(seq.greedy_fallbacks, par.greedy_fallbacks);
-  EXPECT_EQ(seq.breaker_skips, par.breaker_skips);
-  EXPECT_EQ(seq.migration.batches.size(), par.migration.batches.size());
-  ASSERT_EQ(seq.subproblems.size(), par.subproblems.size());
-  for (size_t i = 0; i < seq.subproblems.size(); ++i) {
-    const SubproblemReport& a = seq.subproblems[i];
-    const SubproblemReport& b = par.subproblems[i];
-    EXPECT_EQ(a.num_services, b.num_services) << "subproblem " << i;
-    EXPECT_EQ(a.num_machines, b.num_machines) << "subproblem " << i;
-    EXPECT_EQ(a.internal_affinity, b.internal_affinity) << "subproblem " << i;
-    EXPECT_EQ(a.algorithm, b.algorithm) << "subproblem " << i;
-    EXPECT_EQ(a.gained_affinity, b.gained_affinity) << "subproblem " << i;
-    EXPECT_EQ(a.unplaced_containers, b.unplaced_containers)
-        << "subproblem " << i;
-    EXPECT_EQ(a.failed, b.failed) << "subproblem " << i;
-    EXPECT_EQ(a.used_secondary, b.used_secondary) << "subproblem " << i;
-    // a.seconds / b.seconds intentionally not compared.
-  }
+  EXPECT_EQ(testing::CanonicalResultJson(seq),
+            testing::CanonicalResultJson(par));
 }
 
 TEST(RasaDeterminismTest, ParallelMatchesSequentialAcrossSeeds) {

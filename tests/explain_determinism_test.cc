@@ -16,33 +16,22 @@
 #include "core/rasa.h"
 #include "core/solve_ledger.h"
 #include "gtest/gtest.h"
+#include "rasa_test_util.h"
 
 namespace rasa {
 namespace {
 
 ClusterSnapshot MakeCluster(uint64_t seed) {
-  ClusterSpec spec = M1Spec(48.0);
-  spec.seed = seed;
-  StatusOr<ClusterSnapshot> snapshot = GenerateCluster(spec);
-  RASA_CHECK(snapshot.ok()) << snapshot.status().ToString();
-  return std::move(snapshot).value();
+  return testing::MakeSnapshot(M1Spec(48.0), seed);
 }
 
 RasaResult RunOptimize(const ClusterSnapshot& snapshot, int threads) {
   RasaOptions options;
   // Generous budget + small subproblems: no solve is ever cut off
-  // mid-flight, so the comparison never races the wall clock (same regime
-  // as core_rasa_determinism_test / metrics_determinism_test).
+  // mid-flight, so the comparison never races the wall clock.
   options.timeout_seconds = 30.0;
   options.seed = 1234;
-  options.num_threads = threads;
-  options.partitioning.max_subproblem_services = 12;
-  RasaOptimizer optimizer(options,
-                          AlgorithmSelector(SelectorPolicy::kHeuristic));
-  StatusOr<RasaResult> result =
-      optimizer.Optimize(*snapshot.cluster, snapshot.original_placement);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return std::move(result).value();
+  return testing::OptimizeSmallSubproblems(snapshot, options, threads);
 }
 
 std::string RenderWithoutTimings(const RasaResult& result) {

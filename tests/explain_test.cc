@@ -17,16 +17,13 @@
 #include "core/objective.h"
 #include "core/rasa.h"
 #include "gtest/gtest.h"
+#include "rasa_test_util.h"
 
 namespace rasa {
 namespace {
 
 ClusterSnapshot MakeCluster(uint64_t seed, double scale = 64.0) {
-  ClusterSpec spec = M1Spec(scale);
-  spec.seed = seed;
-  StatusOr<ClusterSnapshot> snapshot = GenerateCluster(spec);
-  RASA_CHECK(snapshot.ok()) << snapshot.status().ToString();
-  return std::move(snapshot).value();
+  return testing::MakeSnapshot(M1Spec(scale), seed);
 }
 
 RasaResult RunRasa(const ClusterSnapshot& snapshot, SelectorPolicy policy,

@@ -21,6 +21,7 @@
 #include "core/objective.h"
 #include "core/rasa.h"
 #include "gtest/gtest.h"
+#include "rasa_test_util.h"
 #include "sim/workflow.h"
 
 namespace rasa {
@@ -29,13 +30,8 @@ namespace {
 constexpr int kThreadCounts[] = {1, 4, 8};
 
 const ClusterSnapshot& TestSnapshot() {
-  static const ClusterSnapshot* snapshot = [] {
-    ClusterSpec spec = M1Spec(40.0);
-    spec.seed = 23;
-    StatusOr<ClusterSnapshot> s = GenerateCluster(spec);
-    EXPECT_TRUE(s.ok());
-    return new ClusterSnapshot(*std::move(s));
-  }();
+  static const ClusterSnapshot* snapshot =
+      new ClusterSnapshot(testing::MakeSnapshot(M1Spec(40.0), 23));
   return *snapshot;
 }
 
@@ -54,20 +50,14 @@ std::string TimingStrippedExplainJson(const ExplainReport& report) {
   return w.str();
 }
 
-// Bit-exact equality of everything except wall-clock timings, including
-// the rendered explain report.
-void ExpectIdenticalResults(const RasaResult& a, const RasaResult& b) {
-  EXPECT_EQ(a.new_placement.DiffCount(b.new_placement), 0);
-  EXPECT_EQ(b.new_placement.DiffCount(a.new_placement), 0);
-  EXPECT_EQ(a.new_gained_affinity, b.new_gained_affinity);
-  EXPECT_EQ(a.original_gained_affinity, b.original_gained_affinity);
-  EXPECT_EQ(a.should_execute, b.should_execute);
-  EXPECT_EQ(a.moved_containers, b.moved_containers);
-  EXPECT_EQ(a.solver_failures, b.solver_failures);
-  EXPECT_EQ(a.greedy_fallbacks, b.greedy_fallbacks);
-  EXPECT_EQ(a.migration.batches.size(), b.migration.batches.size());
-  EXPECT_EQ(TimingStrippedExplainJson(a.report),
-            TimingStrippedExplainJson(b.report));
+// Bit-exact equality of everything except wall-clock timings and the
+// incremental accounting, which is the one intended difference between a
+// stateless solve and a full-resolve fallback.
+void ExpectIdenticalResults(const RasaResult& full, RasaResult inc) {
+  inc.incremental_reason.clear();
+  inc.dirty_subproblems = 0;
+  EXPECT_EQ(testing::CanonicalResultJson(full),
+            testing::CanonicalResultJson(inc));
 }
 
 // The cold-start fallback (invalid state) must be the stock pipeline:

@@ -16,17 +16,14 @@
 #include "core/rasa.h"
 #include "core/recovery.h"
 #include "gtest/gtest.h"
+#include "rasa_test_util.h"
 #include "sim/workflow.h"
 
 namespace rasa {
 namespace {
 
 ClusterSnapshot MakeCluster(uint64_t seed) {
-  ClusterSpec spec = M1Spec(32.0);
-  spec.seed = seed;
-  StatusOr<ClusterSnapshot> snapshot = GenerateCluster(spec);
-  RASA_CHECK(snapshot.ok()) << snapshot.status().ToString();
-  return std::move(snapshot).value();
+  return testing::MakeSnapshot(M1Spec(32.0), seed);
 }
 
 RasaOptions TestOptions(uint64_t seed) {

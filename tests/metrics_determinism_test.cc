@@ -13,17 +13,14 @@
 #include "common/metrics.h"
 #include "core/rasa.h"
 #include "gtest/gtest.h"
+#include "rasa_test_util.h"
 #include "sim/workflow.h"
 
 namespace rasa {
 namespace {
 
 ClusterSnapshot MakeCluster(uint64_t seed) {
-  ClusterSpec spec = M1Spec(48.0);
-  spec.seed = seed;
-  StatusOr<ClusterSnapshot> snapshot = GenerateCluster(spec);
-  RASA_CHECK(snapshot.ok()) << snapshot.status().ToString();
-  return std::move(snapshot).value();
+  return testing::MakeSnapshot(M1Spec(48.0), seed);
 }
 
 RasaResult RunOptimize(const ClusterSnapshot& snapshot, int threads) {
@@ -33,39 +30,12 @@ RasaResult RunOptimize(const ClusterSnapshot& snapshot, int threads) {
   // as core_rasa_determinism_test).
   options.timeout_seconds = 30.0;
   options.seed = 1234;
-  options.num_threads = threads;
-  options.partitioning.max_subproblem_services = 12;
-  RasaOptimizer optimizer(options,
-                          AlgorithmSelector(SelectorPolicy::kHeuristic));
-  StatusOr<RasaResult> result =
-      optimizer.Optimize(*snapshot.cluster, snapshot.original_placement);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return std::move(result).value();
+  return testing::OptimizeSmallSubproblems(snapshot, options, threads);
 }
 
 // Bit-exact equality of everything except wall-clock timings.
 void ExpectIdenticalResults(const RasaResult& a, const RasaResult& b) {
-  EXPECT_EQ(a.new_placement.DiffCount(b.new_placement), 0);
-  EXPECT_EQ(b.new_placement.DiffCount(a.new_placement), 0);
-  EXPECT_EQ(a.new_gained_affinity, b.new_gained_affinity);
-  EXPECT_EQ(a.original_gained_affinity, b.original_gained_affinity);
-  EXPECT_EQ(a.should_execute, b.should_execute);
-  EXPECT_EQ(a.moved_containers, b.moved_containers);
-  EXPECT_EQ(a.lost_containers, b.lost_containers);
-  EXPECT_EQ(a.solver_failures, b.solver_failures);
-  EXPECT_EQ(a.secondary_successes, b.secondary_successes);
-  EXPECT_EQ(a.greedy_fallbacks, b.greedy_fallbacks);
-  EXPECT_EQ(a.breaker_skips, b.breaker_skips);
-  EXPECT_EQ(a.migration.batches.size(), b.migration.batches.size());
-  ASSERT_EQ(a.subproblems.size(), b.subproblems.size());
-  for (size_t i = 0; i < a.subproblems.size(); ++i) {
-    EXPECT_EQ(a.subproblems[i].algorithm, b.subproblems[i].algorithm);
-    EXPECT_EQ(a.subproblems[i].gained_affinity,
-              b.subproblems[i].gained_affinity);
-    EXPECT_EQ(a.subproblems[i].failed, b.subproblems[i].failed);
-    EXPECT_EQ(a.subproblems[i].used_secondary,
-              b.subproblems[i].used_secondary);
-  }
+  EXPECT_EQ(testing::CanonicalResultJson(a), testing::CanonicalResultJson(b));
 }
 
 TEST(MetricsDeterminismTest, MetricsOnOffBitIdenticalAcrossThreadCounts) {

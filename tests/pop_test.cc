@@ -16,27 +16,20 @@
 #include "core/pop.h"
 #include "core/rasa.h"
 #include "gtest/gtest.h"
+#include "rasa_test_util.h"
 #include "test_util.h"
 
 namespace rasa {
 namespace {
 
 ClusterSnapshot MakeCluster(uint64_t seed) {
-  ClusterSpec spec = M1Spec(48.0);
-  spec.seed = seed;
-  StatusOr<ClusterSnapshot> snapshot = GenerateCluster(spec);
-  RASA_CHECK(snapshot.ok()) << snapshot.status().ToString();
-  return std::move(snapshot).value();
+  return testing::MakeSnapshot(M1Spec(48.0), seed);
 }
 
-RasaResult RunOptimize(const ClusterSnapshot& snapshot, RasaOptions options) {
-  options.partitioning.max_subproblem_services = 12;
-  RasaOptimizer optimizer(options,
-                          AlgorithmSelector(SelectorPolicy::kHeuristic));
-  StatusOr<RasaResult> result =
-      optimizer.Optimize(*snapshot.cluster, snapshot.original_placement);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return std::move(result).value();
+RasaResult RunOptimize(const ClusterSnapshot& snapshot,
+                       const RasaOptions& options) {
+  return testing::OptimizeSmallSubproblems(snapshot, options,
+                                           options.num_threads);
 }
 
 TEST(PopTriggerTest, DisabledByDefaultAndBelowThreshold) {

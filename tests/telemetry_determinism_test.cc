@@ -13,17 +13,14 @@
 #include "common/metrics.h"
 #include "common/telemetry.h"
 #include "gtest/gtest.h"
+#include "rasa_test_util.h"
 #include "sim/workflow.h"
 
 namespace rasa {
 namespace {
 
 ClusterSnapshot MakeCluster(uint64_t seed) {
-  ClusterSpec spec = M1Spec(48.0);
-  spec.seed = seed;
-  StatusOr<ClusterSnapshot> snapshot = GenerateCluster(spec);
-  RASA_CHECK(snapshot.ok()) << snapshot.status().ToString();
-  return std::move(snapshot).value();
+  return testing::MakeSnapshot(M1Spec(48.0), seed);
 }
 
 WorkflowReport RunOnce(const ClusterSnapshot& snapshot, int threads,
