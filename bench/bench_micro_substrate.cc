@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+#include <vector>
+
 #include "cluster/generator.h"
 #include "common/rng.h"
 #include "core/cg.h"
@@ -93,6 +96,25 @@ void BM_KahipLikePartition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KahipLikePartition)->Arg(100)->Arg(400);
+
+// Small-graph build and read: the induced subgraph of the `range(0)`
+// heaviest vertices (the size of the blocks partitioning refines and the
+// selector featurizes), then one walk over every neighbor list.
+void BM_SmallGraphBuildAndRead(benchmark::State& state) {
+  Rng rng(6);
+  const AffinityGraph g = GeneratePowerLawGraph(400, 800, 1.6, rng);
+  std::vector<int> block(static_cast<size_t>(state.range(0)));
+  std::iota(block.begin(), block.end(), 0);
+  for (auto _ : state) {
+    const AffinityGraph sub = g.InducedSubgraph(block);
+    double total = 0.0;
+    for (int v = 0; v < sub.num_vertices(); ++v) {
+      total += sub.TotalAffinityOf(v);
+    }
+    benchmark::DoNotOptimize(total);
+  }
+}
+BENCHMARK(BM_SmallGraphBuildAndRead)->Arg(16)->Arg(48);
 
 void BM_GainedAffinity(benchmark::State& state) {
   StatusOr<ClusterSnapshot> snapshot = GenerateCluster(M1Spec(16.0));

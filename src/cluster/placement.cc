@@ -136,4 +136,16 @@ int Placement::DiffCount(const Placement& other) const {
   return moved;
 }
 
+Placement Placement::ReboundTo(const Cluster& cluster) const {
+  Placement out(cluster);
+  const int machines =
+      std::min(cluster.num_machines(), static_cast<int>(by_machine_.size()));
+  for (int m = 0; m < machines; ++m) {
+    for (const auto& [s, count] : by_machine_[m]) {
+      if (s < cluster.num_services()) out.Add(m, s, count);
+    }
+  }
+  return out;
+}
+
 }  // namespace rasa

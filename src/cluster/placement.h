@@ -67,6 +67,17 @@ class Placement {
   /// `other` — the migration volume between two placements (counts moved
   /// containers once, i.e. sum of positive differences).
   int DiffCount(const Placement& other) const;
+  /// DiffCount in both directions: 0 exactly when the placements are
+  /// equal. DiffCount alone reads a placement that lost containers `other`
+  /// has as equal to it.
+  int SymmetricDiff(const Placement& other) const {
+    return DiffCount(other) + other.DiffCount(*this);
+  }
+
+  /// These counts on a placement over `cluster`, a copy of this one's
+  /// cluster possibly with other affinity weights. Machines and services
+  /// `cluster` lacks are dropped.
+  Placement ReboundTo(const Cluster& cluster) const;
 
   const Cluster* cluster() const { return cluster_; }
 

@@ -1,7 +1,6 @@
 #include "core/migration_executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -24,54 +23,22 @@ Status PlacementActions::Create(int machine, int service) {
   return Status::OK();
 }
 
-namespace {
-
-// Same rolling-update floor as the planner and validator (MinAliveFloor in
-// core/migration.h): small services may always have one container offline.
-int FloorAlive(const Cluster& cluster, int service, double fraction) {
-  return MinAliveFloor(cluster.service(service).demand, fraction);
-}
-
-// Re-binds `src` counts to a placement over `cluster` (the target usually
-// references the measured-cluster copy of the same shape).
-Placement CopyCounts(const Cluster& cluster, const Placement& src) {
-  Placement out(cluster);
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    for (const auto& [s, count] : src.ServicesOn(m)) out.Add(m, s, count);
-  }
-  return out;
-}
-
-// DiffCount alone is one-sided (containers `a` has that `b` lacks); an
-// under-deployed live state is a strict subset of the target and would
-// read as converged. Convergence needs the symmetric difference.
-int SymmetricDiff(const Placement& a, const Placement& b) {
-  return a.DiffCount(b) + b.DiffCount(a);
-}
-
-// Post-batch audit: resource/anti-affinity feasibility plus the SLA floor
-// against the actually-reached state. Also records the batch's SLA
-// headroom — the smallest (alive - floor) across services — which is the
-// early-warning signal a production operator alerts on.
-void AuditPartialStep(const Cluster& cluster, const Placement& live,
-                      double min_alive_fraction,
-                      MigrationExecutionReport& report) {
-  if (!live.CheckFeasible(/*check_sla=*/false).ok()) {
-    ++report.feasibility_violations;
-  }
+int AuditMigrationStep(const Cluster& cluster, const Placement& live,
+                       double min_alive_fraction, int& sla_violations,
+                       int& feasibility_violations) {
+  if (!live.CheckFeasible(/*check_sla=*/false).ok()) ++feasibility_violations;
   int min_headroom = std::numeric_limits<int>::max();
   for (int s = 0; s < cluster.num_services(); ++s) {
     const int headroom =
-        live.TotalOf(s) - FloorAlive(cluster, s, min_alive_fraction);
+        live.TotalOf(s) -
+        MinAliveFloor(cluster.service(s).demand, min_alive_fraction);
     min_headroom = std::min(min_headroom, headroom);
-    if (headroom < 0) ++report.sla_violations;
+    if (headroom < 0) ++sla_violations;
   }
-  if (min_headroom != std::numeric_limits<int>::max()) {
-    static Histogram& headroom_metric =
-        MetricRegistry::Default().GetHistogram("migration.sla_headroom");
-    headroom_metric.Observe(static_cast<double>(min_headroom));
-  }
+  return min_headroom;
 }
+
+namespace {
 
 // Rewrites `desired` so no command would target an unavailable machine:
 // creates planned there move to available machines (or the planned move is
@@ -244,7 +211,8 @@ void ExecutePass(const Cluster& cluster, Placement& live,
         // The planner's floor assumed every earlier create succeeded; the
         // actual state may be lower, so re-verify before deleting.
         if (live.TotalOf(cmd.service) - 1 <
-            FloorAlive(cluster, cmd.service, options.min_alive_fraction)) {
+            MinAliveFloor(cluster.service(cmd.service).demand,
+                          options.min_alive_fraction)) {
           ++report.commands_deferred;
           incomplete = true;
           continue;
@@ -285,7 +253,16 @@ void ExecutePass(const Cluster& cluster, Placement& live,
     }
     ++report.batches_executed;
     if (incomplete) ++report.partial_batches;
-    AuditPartialStep(cluster, live, options.min_alive_fraction, report);
+    // The batch's SLA headroom, the smallest (alive - floor), is the
+    // early-warning signal a production operator alerts on.
+    const int min_headroom = AuditMigrationStep(
+        cluster, live, options.min_alive_fraction, report.sla_violations,
+        report.feasibility_violations);
+    if (min_headroom != std::numeric_limits<int>::max()) {
+      static Histogram& headroom_metric =
+          MetricRegistry::Default().GetHistogram("migration.sla_headroom");
+      headroom_metric.Observe(static_cast<double>(min_headroom));
+    }
     if (options.crash_after_batch && options.crash_after_batch()) {
       report.crashed = true;  // died after applying, before the commit
       return;
@@ -316,14 +293,14 @@ MigrationExecutionReport ExecuteMigration(const Cluster& cluster,
                                           const MigrationExecutorOptions& options) {
   MigrationExecutionReport report;
   Rng rng(options.seed);
-  Placement desired = CopyCounts(cluster, target);
+  Placement desired = target.ReboundTo(cluster);
 
   const MigrationPlan* current_plan = &plan;
   MigrationPlan replanned;
   for (int round = 0;; ++round) {
     ExecutePass(cluster, live, *current_plan, actions, options, rng, report);
     if (report.crashed) return report;  // stopped dead: no metrics, no audit
-    if (SymmetricDiff(live, desired) == 0) {
+    if (live.SymmetricDiff(desired) == 0) {
       report.reached_target = true;
       break;
     }
@@ -333,7 +310,7 @@ MigrationExecutionReport ExecuteMigration(const Cluster& cluster,
     ++report.replans;
     AdjustTargetForUnavailable(cluster, live, desired, actions, report);
     RepairDeficits(cluster, live, desired, actions, options, rng, report);
-    if (SymmetricDiff(live, desired) == 0) {
+    if (live.SymmetricDiff(desired) == 0) {
       report.reached_target = true;
       break;
     }
@@ -351,11 +328,11 @@ MigrationExecutionReport ExecuteMigration(const Cluster& cluster,
     if (replanned.batches.empty()) {
       // Nothing executable remains (all residual moves touch cordoned
       // machines); stop gracefully.
-      report.reached_target = SymmetricDiff(live, desired) == 0;
+      report.reached_target = live.SymmetricDiff(desired) == 0;
       break;
     }
   }
-  report.residual_diff = SymmetricDiff(live, desired);
+  report.residual_diff = live.SymmetricDiff(desired);
 
   // Run-level executor metrics (observation-only; per-batch sizes and SLA
   // headroom are recorded inline above).

@@ -118,6 +118,15 @@ struct MigrationExecutionReport {
   bool crashed = false;
 };
 
+/// The post-batch audit the executor runs and crash recovery repeats: adds
+/// one to `feasibility_violations` when `live` breaks a resource or
+/// anti-affinity limit and one to `sla_violations` per service below its
+/// rolling-update floor (MinAliveFloor). Returns the smallest
+/// (alive - floor) across services, INT_MAX when there are none.
+int AuditMigrationStep(const Cluster& cluster, const Placement& live,
+                       double min_alive_fraction, int& sla_violations,
+                       int& feasibility_violations);
+
 /// Executes `plan` command-by-command against `actions`, mutating nothing
 /// directly — `live` changes only through commands `actions` accepted, so
 /// the executor's view always matches what actually happened. Failed

@@ -9,6 +9,7 @@
 
 #include "cluster/serialization.h"
 #include "common/strings.h"
+#include "core/migration_executor.h"
 
 namespace rasa {
 namespace {
@@ -21,24 +22,6 @@ std::string PrevCheckpointPath(const std::string& dir) {
 }
 std::string JournalPath(const std::string& dir) { return dir + "/journal.wal"; }
 
-// Re-binds `src` counts onto a placement over `cluster` (sources are often
-// bound to a different Cluster copy of the same shape).
-Placement CopyCounts(const Cluster& cluster, const Placement& src) {
-  Placement out(cluster);
-  const int machines = std::min(cluster.num_machines(),
-                                src.cluster()->num_machines());
-  for (int m = 0; m < machines; ++m) {
-    for (const auto& [s, count] : src.ServicesOn(m)) {
-      if (s < cluster.num_services()) out.Add(m, s, count);
-    }
-  }
-  return out;
-}
-
-int SymmetricDiff(const Placement& a, const Placement& b) {
-  return a.DiffCount(b) + b.DiffCount(a);
-}
-
 // Applies one migration command; false when the live state cannot take it
 // (missing container for a delete, infeasible machine for a create).
 bool ApplyCommand(Placement& placement, const MigrationCommand& cmd) {
@@ -48,19 +31,6 @@ bool ApplyCommand(Placement& placement, const MigrationCommand& cmd) {
   if (!placement.CanPlace(cmd.machine, cmd.service)) return false;
   placement.Add(cmd.machine, cmd.service);
   return true;
-}
-
-// Same per-batch audit the executor runs: capacity/anti-affinity
-// feasibility plus the rolling-update SLA floor.
-void AuditState(const Cluster& cluster, const Placement& live,
-                double min_alive_fraction, int& sla_violations,
-                int& feasibility_violations) {
-  if (!live.CheckFeasible(/*check_sla=*/false).ok()) ++feasibility_violations;
-  for (int s = 0; s < cluster.num_services(); ++s) {
-    const int floor = MinAliveFloor(cluster.service(s).demand,
-                                    min_alive_fraction);
-    if (live.TotalOf(s) < floor) ++sla_violations;
-  }
 }
 
 void EncodeCommands(std::ostringstream& os,
@@ -92,18 +62,6 @@ bool DecodeCommands(std::istringstream& is,
   return true;
 }
 
-// The target placement a plan record intends to reach, bound to `cluster`.
-Placement TargetFromPlan(const Cluster& cluster, const JournalRecord& plan) {
-  Placement target(cluster);
-  for (const std::array<int, 3>& t : plan.target) {
-    if (t[0] >= 0 && t[0] < cluster.num_machines() && t[1] >= 0 &&
-        t[1] < cluster.num_services() && t[2] > 0) {
-      target.Add(t[0], t[1], t[2]);
-    }
-  }
-  return target;
-}
-
 // The commands of batch ordinal `b`, preferring the explicit intent record
 // (survives executor replans) over the original plan. False when unknown.
 bool BatchCommands(const CycleJournal& cj, int b,
@@ -128,6 +86,63 @@ int NumBatches(const CycleJournal& cj) {
     n = std::max(n, cj.batch_intents.rbegin()->first + 1);
   }
   return n;
+}
+
+// Longest prefix of `steps` explaining `observed`: the largest j such that
+// applying the first j steps to `from` yields exactly `observed` (0 when
+// `from` already does), or -1 when no prefix does. Stops at the first
+// step `apply` rejects.
+template <typename Step, typename Apply>
+int LongestAppliedPrefix(const Cluster& cluster, const Placement& from,
+                         const std::vector<Step>& steps,
+                         const Placement& observed, Apply apply) {
+  Placement probe = from.ReboundTo(cluster);
+  int prefix = probe.SymmetricDiff(observed) == 0 ? 0 : -1;
+  for (int j = 1; j <= static_cast<int>(steps.size()); ++j) {
+    if (!apply(probe, steps[j - 1])) break;
+    if (probe.SymmetricDiff(observed) == 0) prefix = j;
+  }
+  return prefix;
+}
+
+enum class BatchFate { kCommitted, kInFlight, kNotStarted };
+
+// The journal replay walk over an interrupted execution. Visits the batch
+// ordinals in order with their commands: batches before the first one
+// without a commit record are committed (with `exec_done_commits`, an
+// exec_done record commits every batch), the first uncommitted batch is in
+// flight, and the rest never started. Each committed batch is re-applied
+// to `expected` (the cycle's start state on entry) before its visit, so
+// the in-flight batch's visit sees the state that batch began from.
+// `visit(b, fate, commands, reapplied)` gets the number of the committed
+// batch's commands that re-applied before the first one that did not, and
+// returns false to stop the walk. Returns false when the walk stopped at a
+// batch whose commands the journal never recorded.
+template <typename Visit>
+bool WalkBatches(const CycleJournal& cj, bool exec_done_commits,
+                 Placement& expected, Visit visit) {
+  const int num_batches = NumBatches(cj);
+  bool past_frontier = false;
+  for (int b = 0; b < num_batches; ++b) {
+    std::vector<MigrationCommand> commands;
+    if (!BatchCommands(cj, b, commands)) return false;
+    BatchFate fate = BatchFate::kNotStarted;
+    int reapplied = 0;
+    if (!past_frontier &&
+        (cj.batch_commits.count(b) || (exec_done_commits && cj.exec_done))) {
+      fate = BatchFate::kCommitted;
+      bool ok = true;
+      for (const MigrationCommand& cmd : commands) {
+        ok = ApplyCommand(expected, cmd) && ok;
+        if (ok) ++reapplied;
+      }
+    } else if (!past_frontier) {
+      fate = BatchFate::kInFlight;
+      past_frontier = true;
+    }
+    if (!visit(b, fate, commands, reapplied)) break;
+  }
+  return true;
 }
 
 // Reconciles `observed` straight to `target`: removals before additions so
@@ -161,6 +176,23 @@ void ReconcileToTarget(const Cluster& cluster, const Placement& target,
 }
 
 }  // namespace
+
+Placement TargetFromPlan(const Cluster& cluster, const JournalRecord& plan) {
+  Placement target(cluster);
+  for (const std::array<int, 3>& t : plan.target) {
+    if (t[0] >= 0 && t[0] < cluster.num_machines() && t[1] >= 0 &&
+        t[1] < cluster.num_services() && t[2] > 0) {
+      target.Add(t[0], t[1], t[2]);
+    }
+  }
+  return target;
+}
+
+bool ApplyDriftMove(Placement& placement, const DriftMove& move) {
+  if (!placement.Remove(move.from, move.service).ok()) return false;
+  placement.Add(move.to, move.service);
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Checkpoints
@@ -591,52 +623,30 @@ std::vector<CommandClassification> ClassifyInFlightCommands(
     bool journal_torn_tail) {
   std::vector<CommandClassification> out;
   if (cj.decision != CycleJournal::Decision::kExecute) return out;
-  Placement expected = CopyCounts(cluster, cycle_start);
-  const int num_batches = NumBatches(cj);
-  bool past_frontier = false;
-  for (int b = 0; b < num_batches; ++b) {
-    std::vector<MigrationCommand> commands;
-    if (!BatchCommands(cj, b, commands)) break;
-    if (!past_frontier && (cj.batch_commits.count(b) || cj.exec_done)) {
-      // Committed (or execution finished): every command applied.
-      for (const MigrationCommand& cmd : commands) {
-        ApplyCommand(expected, cmd);
-        out.push_back({b, cmd, CommandFate::kApplied});
+  Placement expected = cycle_start.ReboundTo(cluster);
+  WalkBatches(cj, /*exec_done_commits=*/true, expected,
+              [&](int b, BatchFate fate,
+                  const std::vector<MigrationCommand>& commands, int) {
+    // A torn journal tail means the frame recording the in-flight batch's
+    // fate may have been lost, so a state no prefix explains is classified
+    // kTorn rather than guessed, and so is the first unapplied command.
+    const int prefix =
+        fate == BatchFate::kInFlight
+            ? LongestAppliedPrefix(cluster, expected, commands, observed,
+                                   ApplyCommand)
+            : 0;
+    for (int j = 0; j < static_cast<int>(commands.size()); ++j) {
+      CommandFate command_fate = CommandFate::kNotApplied;
+      if (fate == BatchFate::kCommitted || (prefix >= 0 && j < prefix)) {
+        command_fate = CommandFate::kApplied;
+      } else if (fate == BatchFate::kInFlight &&
+                 (prefix < 0 || (journal_torn_tail && j == prefix))) {
+        command_fate = CommandFate::kTorn;
       }
-      continue;
+      out.push_back({b, commands[j], command_fate});
     }
-    if (!past_frontier) {
-      // The in-flight batch: longest applied prefix that explains the
-      // observed placement. A torn journal tail means the frame recording
-      // this batch's fate may have been lost, so an unexplainable state is
-      // classified kTorn rather than guessed.
-      int prefix = -1;
-      Placement probe = CopyCounts(cluster, expected);
-      if (SymmetricDiff(probe, observed) == 0) prefix = 0;
-      for (int j = 1; j <= static_cast<int>(commands.size()); ++j) {
-        if (!ApplyCommand(probe, commands[j - 1])) break;
-        if (SymmetricDiff(probe, observed) == 0) prefix = j;
-      }
-      for (int j = 0; j < static_cast<int>(commands.size()); ++j) {
-        CommandFate fate;
-        if (prefix < 0) {
-          fate = CommandFate::kTorn;
-        } else if (j < prefix) {
-          fate = CommandFate::kApplied;
-        } else {
-          fate = journal_torn_tail && j == prefix ? CommandFate::kTorn
-                                                  : CommandFate::kNotApplied;
-        }
-        out.push_back({b, commands[j], fate});
-      }
-      past_frontier = true;
-      continue;
-    }
-    // Batches after the in-flight one never started.
-    for (const MigrationCommand& cmd : commands) {
-      out.push_back({b, cmd, CommandFate::kNotApplied});
-    }
-  }
+    return true;
+  });
   return out;
 }
 
@@ -648,107 +658,71 @@ StatusOr<RollForwardResult> RollForwardExecution(
     return InternalError("roll-forward without a journaled plan");
   }
   RollForwardResult result;
+  JournalRecord& done = result.exec_done;
+  done.type = JournalRecordType::kExecDone;
+  done.cycle = cj.plan.cycle;
+  done.batches_executed = NumBatches(cj);
   const Placement target = TargetFromPlan(cluster, cj.plan);
-  Placement expected = CopyCounts(cluster, cycle_start);
-  const int num_batches = NumBatches(cj);
+  Placement expected = cycle_start.ReboundTo(cluster);
   bool abandon = false;
-  bool past_frontier = false;
-
-  for (int b = 0; b < num_batches && !abandon; ++b) {
-    std::vector<MigrationCommand> commands;
-    if (!BatchCommands(cj, b, commands)) {
-      abandon = true;  // replan rewrote batches the journal never recorded
-      break;
-    }
-    if (!past_frontier && cj.batch_commits.count(b)) {
-      for (const MigrationCommand& cmd : commands) {
-        if (!ApplyCommand(expected, cmd)) {
-          abandon = true;
-          break;
+  Status appended;
+  // Committed batches must re-apply; the in-flight batch resumes after its
+  // applied prefix and later batches run in full, each audited and
+  // committed. Anything the journaled path cannot explain abandons it.
+  const bool walked = WalkBatches(
+      cj, /*exec_done_commits=*/false, expected,
+      [&](int b, BatchFate fate, const std::vector<MigrationCommand>& commands,
+          int reapplied) {
+        const int size = static_cast<int>(commands.size());
+        if (fate == BatchFate::kCommitted) {
+          result.commands_pre_applied += reapplied;
+          abandon = reapplied < size;
+          return !abandon;
         }
-        ++result.commands_pre_applied;
-      }
-      continue;
-    }
-    if (!past_frontier) {
-      past_frontier = true;
-      // Find the applied prefix of the in-flight batch.
-      int prefix = -1;
-      Placement probe = CopyCounts(cluster, expected);
-      if (SymmetricDiff(probe, observed) == 0) prefix = 0;
-      for (int j = 1; j <= static_cast<int>(commands.size()); ++j) {
-        if (!ApplyCommand(probe, commands[j - 1])) break;
-        if (SymmetricDiff(probe, observed) == 0) prefix = j;
-      }
-      if (prefix < 0) {
-        abandon = true;  // observed world matches no journaled prefix
-        break;
-      }
-      result.commands_pre_applied += prefix;
-      for (int j = prefix; j < static_cast<int>(commands.size()); ++j) {
-        if (!ApplyCommand(observed, commands[j])) {
-          abandon = true;
-          break;
+        int next = 0;
+        if (fate == BatchFate::kInFlight) {
+          next = LongestAppliedPrefix(cluster, expected, commands, observed,
+                                      ApplyCommand);
+          abandon = next < 0;
+          if (abandon) return false;
+          result.commands_pre_applied += next;
         }
-        ++result.commands_rolled_forward;
-      }
-      if (abandon) break;
-      ++result.batches_rolled_forward;
-      AuditState(cluster, observed, min_alive_fraction,
-                 result.sla_violations, result.feasibility_violations);
-      if (journal != nullptr && !cj.batch_commits.count(b)) {
-        JournalRecord commit;
-        commit.type = JournalRecordType::kBatchCommit;
-        commit.cycle = cj.plan.cycle;
-        commit.batch = b;
-        RASA_RETURN_IF_ERROR(journal->Append(commit));
-      }
-      continue;
-    }
-    // Batches that never started: execute them in full.
-    for (const MigrationCommand& cmd : commands) {
-      if (!ApplyCommand(observed, cmd)) {
-        abandon = true;
-        break;
-      }
-      ++result.commands_rolled_forward;
-    }
-    if (abandon) break;
-    ++result.batches_rolled_forward;
-    AuditState(cluster, observed, min_alive_fraction, result.sla_violations,
-               result.feasibility_violations);
-    if (journal != nullptr) {
-      JournalRecord commit;
-      commit.type = JournalRecordType::kBatchCommit;
-      commit.cycle = cj.plan.cycle;
-      commit.batch = b;
-      RASA_RETURN_IF_ERROR(journal->Append(commit));
-    }
-  }
+        for (; next < size; ++next) {
+          abandon = !ApplyCommand(observed, commands[next]);
+          if (abandon) return false;
+          ++result.commands_rolled_forward;
+        }
+        ++result.batches_rolled_forward;
+        AuditMigrationStep(cluster, observed, min_alive_fraction,
+                           done.sla_violations, done.feasibility_violations);
+        if (journal != nullptr) {
+          JournalRecord commit;
+          commit.type = JournalRecordType::kBatchCommit;
+          commit.cycle = cj.plan.cycle;
+          commit.batch = b;
+          appended = journal->Append(commit);
+        }
+        return appended.ok();
+      });
+  RASA_RETURN_IF_ERROR(appended);
+  // Replan rewrote batches the journal never recorded.
+  if (!walked) abandon = true;
 
-  if (abandon || SymmetricDiff(observed, target) != 0) {
+  if (abandon || observed.SymmetricDiff(target) != 0) {
     // The journaled path cannot be replayed against this world (chaos
     // interference, lost replan records). Reconcile straight to the
     // journaled target instead — the intent is durable even when the path
     // is not.
     result.abandoned = abandon;
     ReconcileToTarget(cluster, target, observed,
-                      result.feasibility_violations);
-    AuditState(cluster, observed, min_alive_fraction, result.sla_violations,
-               result.feasibility_violations);
+                      done.feasibility_violations);
+    AuditMigrationStep(cluster, observed, min_alive_fraction,
+                       done.sla_violations, done.feasibility_violations);
   }
-  result.reached_target = SymmetricDiff(observed, target) == 0;
-
+  done.reached_target = observed.SymmetricDiff(target) == 0;
+  done.commands_succeeded =
+      result.commands_pre_applied + result.commands_rolled_forward;
   if (journal != nullptr && !cj.exec_done) {
-    JournalRecord done;
-    done.type = JournalRecordType::kExecDone;
-    done.cycle = cj.plan.cycle;
-    done.reached_target = result.reached_target;
-    done.batches_executed = num_batches;
-    done.commands_succeeded =
-        result.commands_pre_applied + result.commands_rolled_forward;
-    done.sla_violations = result.sla_violations;
-    done.feasibility_violations = result.feasibility_violations;
     RASA_RETURN_IF_ERROR(journal->Append(done));
   }
   return result;
@@ -757,22 +731,12 @@ StatusOr<RollForwardResult> RollForwardExecution(
 int RollForwardDrift(const Cluster& cluster,
                      const std::vector<DriftMove>& moves,
                      const Placement& pre_drift, Placement& observed) {
-  int prefix = -1;
-  Placement probe = CopyCounts(cluster, pre_drift);
-  if (SymmetricDiff(probe, observed) == 0) prefix = 0;
-  for (int j = 1; j <= static_cast<int>(moves.size()); ++j) {
-    const DriftMove& m = moves[j - 1];
-    if (!probe.Remove(m.from, m.service).ok()) break;
-    probe.Add(m.to, m.service);
-    if (SymmetricDiff(probe, observed) == 0) prefix = j;
-  }
+  const int prefix = LongestAppliedPrefix(cluster, pre_drift, moves,
+                                          observed, ApplyDriftMove);
   if (prefix < 0) return -1;
   int applied = 0;
   for (int j = prefix; j < static_cast<int>(moves.size()); ++j) {
-    const DriftMove& m = moves[j];
-    if (!observed.Remove(m.from, m.service).ok()) continue;
-    observed.Add(m.to, m.service);
-    ++applied;
+    if (ApplyDriftMove(observed, moves[j])) ++applied;
   }
   return applied;
 }
@@ -783,20 +747,15 @@ StatusOr<Placement> ReconstructObservedPlacement(
   if (snapshot.cluster == nullptr) {
     return InternalError("checkpoint has no cluster snapshot");
   }
-  const Cluster& cluster = *snapshot.cluster;
-  Placement world = CopyCounts(cluster, snapshot.original_placement);
+  Placement world = snapshot.original_placement.ReboundTo(*snapshot.cluster);
   // Committed work is durably acknowledged; anything in flight is treated
   // as not-applied (the resume's roll-forward re-derives it). Drift intents
   // are likewise left to the roll-forward.
   for (const auto& [cycle, cj] : analysis.cycles) {
     (void)cycle;
-    const int num_batches = NumBatches(cj);
-    for (int b = 0; b < num_batches; ++b) {
-      if (!cj.batch_commits.count(b) && !cj.exec_done) break;
-      std::vector<MigrationCommand> commands;
-      if (!BatchCommands(cj, b, commands)) break;
-      for (const MigrationCommand& cmd : commands) ApplyCommand(world, cmd);
-    }
+    WalkBatches(cj, /*exec_done_commits=*/true, world,
+                [](int, BatchFate fate, const std::vector<MigrationCommand>&,
+                   int) { return fate == BatchFate::kCommitted; });
   }
   return world;
 }

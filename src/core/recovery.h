@@ -32,18 +32,24 @@ namespace rasa {
 // Checkpoints
 
 /// Aggregate workflow counters carried across a resume (the persistent part
-/// of WorkflowReport).
+/// of WorkflowReport, which derives from it).
 struct WorkflowCounters {
   int executions = 0;
   int dry_runs = 0;
   int rollbacks = 0;
+  /// Cycles whose optimizer call errored out (counted as dry-runs).
   int solver_failures = 0;
+  /// Executions that stopped short of the target placement.
   int partial_executions = 0;
+  // Executor totals across all cycles.
   int commands_failed = 0;
   int command_retries = 0;
   int replans = 0;
+  /// Post-batch invariant audits that failed (must stay 0, even under
+  /// injected faults).
   int sla_violations = 0;
   int feasibility_violations = 0;
+  // Chaos-harness totals (0 unless inject_faults).
   int faults_injected = 0;
   int cordons_fired = 0;
 };
@@ -159,6 +165,14 @@ struct JournalRecord {
   std::string incremental_state;
 };
 
+/// The target placement a kPlan record intends to reach, bound to
+/// `cluster`; triplets outside the cluster are dropped.
+Placement TargetFromPlan(const Cluster& cluster, const JournalRecord& plan);
+
+/// Applies one drift move; false (and `placement` untouched) when `from`
+/// holds no container of the service.
+bool ApplyDriftMove(Placement& placement, const DriftMove& move);
+
 std::string EncodeJournalRecord(const JournalRecord& record);
 StatusOr<JournalRecord> DecodeJournalRecord(const std::string& payload);
 
@@ -266,13 +280,15 @@ struct RecoveryStats {
 };
 
 struct RollForwardResult {
-  bool reached_target = false;
+  /// The execution's kExecDone record: reached_target, batches_executed,
+  /// commands_succeeded (pre-applied + rolled forward) and the audit
+  /// violation counts. The workflow folds it into its reports exactly like
+  /// the record of an execution that finished live.
+  JournalRecord exec_done;
   bool abandoned = false;
   int commands_pre_applied = 0;
   int commands_rolled_forward = 0;
   int batches_rolled_forward = 0;
-  int sla_violations = 0;
-  int feasibility_violations = 0;
 };
 
 /// Rolls an interrupted execution forward: verifies committed batches,
@@ -282,8 +298,9 @@ struct RollForwardResult {
 /// abandons the journaled path and reconciles `observed` directly to the
 /// journaled target (removals before additions, so capacity feasibility is
 /// never transiently violated). When `journal` is non-null the missing
-/// batch commits and the exec-done record are appended, restoring the
-/// invariant that a completed cycle is fully journaled.
+/// batch commits and (unless the cycle already has one) `exec_done` are
+/// appended, restoring the invariant that a completed cycle is fully
+/// journaled.
 StatusOr<RollForwardResult> RollForwardExecution(
     const Cluster& cluster, const CycleJournal& cycle_journal,
     const Placement& cycle_start, Placement& observed,

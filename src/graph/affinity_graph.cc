@@ -8,9 +8,7 @@
 
 namespace rasa {
 
-AffinityGraph::AffinityGraph(int num_vertices) : num_vertices_(num_vertices) {
-  if (dense_backend()) adjacency_.resize(num_vertices);
-}
+AffinityGraph::AffinityGraph(int num_vertices) : num_vertices_(num_vertices) {}
 
 Status AffinityGraph::AddEdge(int u, int v, double weight) {
   if (u == v) {
@@ -27,35 +25,19 @@ Status AffinityGraph::AddEdge(int u, int v, double weight) {
   const int hi = std::max(u, v);
   const auto [it, inserted] =
       edge_index_.try_emplace(EdgeKey(lo, hi), static_cast<int>(edges_.size()));
-  if (!inserted) {
-    edges_[it->second].weight += weight;
-    if (dense_backend()) {
-      for (auto& [nbr, w] : adjacency_[u]) {
-        if (nbr == v) w += weight;
-      }
-      for (auto& [nbr, w] : adjacency_[v]) {
-        if (nbr == u) w += weight;
-      }
-    } else {
-      csr_valid_ = false;
-    }
-    return Status::OK();
-  }
-  edges_.push_back({lo, hi, weight});
-  if (dense_backend()) {
-    adjacency_[u].push_back({v, weight});
-    adjacency_[v].push_back({u, weight});
+  if (inserted) {
+    edges_.push_back({lo, hi, weight});
   } else {
-    csr_valid_ = false;
+    edges_[it->second].weight += weight;
   }
+  csr_valid_ = false;
   return Status::OK();
 }
 
 void AffinityGraph::EnsureReadable() const {
-  if (dense_backend() || csr_valid_) return;
+  if (csr_valid_) return;
   // Stable counting pass over edges_ in insertion order: each edge appends
-  // both directions, exactly reproducing the push_back order of the dense
-  // backend (and of the pre-CSR implementation).
+  // both directions, so every neighbor list is in first-insertion order.
   csr_offsets_.assign(num_vertices_ + 1, 0);
   for (const AffinityEdge& e : edges_) {
     ++csr_offsets_[e.u + 1];
@@ -74,10 +56,6 @@ void AffinityGraph::EnsureReadable() const {
 }
 
 AffinityGraph::NeighborSpan AffinityGraph::Neighbors(int v) const {
-  if (dense_backend()) {
-    const auto& nbrs = adjacency_[v];
-    return NeighborSpan(nbrs.data(), nbrs.size());
-  }
   EnsureReadable();
   const int begin = csr_offsets_[v];
   return NeighborSpan(csr_entries_.data() + begin,
@@ -85,7 +63,6 @@ AffinityGraph::NeighborSpan AffinityGraph::Neighbors(int v) const {
 }
 
 int AffinityGraph::Degree(int v) const {
-  if (dense_backend()) return static_cast<int>(adjacency_[v].size());
   EnsureReadable();
   return csr_offsets_[v + 1] - csr_offsets_[v];
 }
@@ -110,9 +87,6 @@ void AffinityGraph::NormalizeWeights() {
   if (total <= 0.0) return;
   const double inv = 1.0 / total;
   for (AffinityEdge& e : edges_) e.weight *= inv;
-  for (auto& nbrs : adjacency_) {
-    for (auto& [nbr, w] : nbrs) w *= inv;
-  }
   if (csr_valid_) {
     for (auto& [nbr, w] : csr_entries_) w *= inv;
   }

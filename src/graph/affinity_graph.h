@@ -24,13 +24,9 @@ struct AffinityEdge {
 /// self-loops are rejected (a service has no affinity with itself).
 ///
 /// Reads go through the span-based view API (`Neighbors`, `edges`); there is
-/// no random-access weight lookup in the public interface. Two storage
-/// backends live behind the same API: small graphs keep per-vertex adjacency
-/// vectors (mutation-friendly, updated on every AddEdge), large graphs use a
-/// CSR index over the edge list rebuilt lazily on first read after a
-/// mutation. Neighbor order is the edge first-insertion order in both
-/// backends, so iteration — and everything derived from it — is
-/// bit-identical regardless of which backend serves a graph.
+/// no random-access weight lookup in the public interface. Neighbor lists
+/// live in a CSR index over the edge list, rebuilt lazily on the first read
+/// after a mutation; neighbor order is the edge first-insertion order.
 class AffinityGraph {
  public:
   using NeighborEntry = std::pair<int, double>;
@@ -100,15 +96,6 @@ class AffinityGraph {
   void Finalize() const { EnsureReadable(); }
 
  private:
-  /// Vertex-count ceiling of the adjacency-vector backend. Mirrors
-  /// LpOptions::dense_size_cutoff: below it per-vertex vectors are cheap
-  /// and mutation-friendly; above it one CSR block avoids the per-vertex
-  /// allocations and O(n) vector headers.
-  static constexpr int kDenseBackendMaxVertices = 64;
-
-  bool dense_backend() const {
-    return num_vertices_ <= kDenseBackendMaxVertices;
-  }
   static uint64_t EdgeKey(int u, int v) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(u)) << 32) |
            static_cast<uint32_t>(v);
@@ -121,12 +108,7 @@ class AffinityGraph {
   /// {min(u,v), max(u,v)} -> index into edges_, for O(1) duplicate merge.
   std::unordered_map<uint64_t, int> edge_index_;
 
-  // Dense backend: per-vertex neighbor vectors, maintained on AddEdge.
-  std::vector<std::vector<NeighborEntry>> adjacency_;
-
-  // CSR backend: one offsets array + one entries block, rebuilt lazily.
-  // A stable counting pass over edges_ reproduces the insertion order the
-  // dense backend gets from push_back, so both backends iterate alike.
+  // CSR index: one offsets array + one entries block, rebuilt lazily.
   mutable std::vector<int> csr_offsets_;
   mutable std::vector<NeighborEntry> csr_entries_;
   mutable bool csr_valid_ = false;

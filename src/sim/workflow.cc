@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -23,53 +22,15 @@
 namespace rasa {
 namespace {
 
-// Re-associates the counts of `placement` with `cluster` (same shape,
-// possibly different affinity weights).
-Placement RebindPlacement(const Cluster& cluster, const Placement& placement) {
-  Placement out(cluster);
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    for (const auto& [s, count] : placement.ServicesOn(m)) {
-      out.Add(m, s, count);
-    }
-  }
-  return out;
-}
-
 // Randomly relocates ~fraction of all containers to other feasible machines
-// (application updates / user modifications between cycles).
-void DriftPlacement(const Cluster& cluster, Placement& placement,
-                    double fraction, Rng& rng) {
-  const int moves =
-      static_cast<int>(fraction * cluster.num_containers());
-  for (int i = 0; i < moves; ++i) {
-    const int s = static_cast<int>(rng.NextUint64(cluster.num_services()));
-    const auto& machines = placement.MachinesOf(s);
-    if (machines.empty()) continue;
-    // Pick a random hosting machine of s.
-    const int pick = static_cast<int>(rng.NextUint64(machines.size()));
-    auto it = machines.begin();
-    std::advance(it, pick);
-    const int from = it->first;
-    // Pick a random feasible destination.
-    std::vector<int> feasible;
-    for (int m = 0; m < cluster.num_machines(); ++m) {
-      if (m != from && placement.CanPlace(m, s)) feasible.push_back(m);
-    }
-    if (feasible.empty()) continue;
-    const int to = feasible[rng.NextUint64(feasible.size())];
-    RASA_CHECK(placement.Remove(from, s).ok());
-    placement.Add(to, s);
-  }
-}
-
-// Same relocation policy as DriftPlacement — the identical draw sequence —
-// but computed on a scratch copy and returned as an explicit move list, so
-// the intent can be journaled before any move touches the live placement
-// (crash mid-drift is then recoverable move-by-move).
+// (application updates / user modifications between cycles), drawn on a
+// scratch copy and returned as an explicit move list, so the intent can be
+// journaled before any move touches the live placement (crash mid-drift is
+// then recoverable move-by-move).
 std::vector<DriftMove> ComputeDriftMoves(const Cluster& cluster,
                                          const Placement& current,
                                          double fraction, Rng& rng) {
-  Placement scratch = RebindPlacement(cluster, current);
+  Placement scratch = current.ReboundTo(cluster);
   std::vector<DriftMove> out;
   const int moves =
       static_cast<int>(fraction * cluster.num_containers());
@@ -77,6 +38,8 @@ std::vector<DriftMove> ComputeDriftMoves(const Cluster& cluster,
     const int s = static_cast<int>(rng.NextUint64(cluster.num_services()));
     const auto& machines = scratch.MachinesOf(s);
     if (machines.empty()) continue;
+    // Pick a random hosting machine of s, then a random feasible
+    // destination.
     const int pick = static_cast<int>(rng.NextUint64(machines.size()));
     auto it = machines.begin();
     std::advance(it, pick);
@@ -87,11 +50,20 @@ std::vector<DriftMove> ComputeDriftMoves(const Cluster& cluster,
     }
     if (feasible.empty()) continue;
     const int to = feasible[rng.NextUint64(feasible.size())];
-    RASA_CHECK(scratch.Remove(from, s).ok());
-    scratch.Add(to, s);
     out.push_back({s, from, to});
+    RASA_CHECK(ApplyDriftMove(scratch, out.back()));
   }
   return out;
+}
+
+// Applies ComputeDriftMoves straight to `placement`, unjournaled (the chaos
+// harness's stale-snapshot drift).
+void DriftPlacement(const Cluster& cluster, Placement& placement,
+                    double fraction, Rng& rng) {
+  for (const DriftMove& mv :
+       ComputeDriftMoves(cluster, placement, fraction, rng)) {
+    RASA_CHECK(ApplyDriftMove(placement, mv));
+  }
 }
 
 // Delta value of a counter in a diffed snapshot; 0 when absent.
@@ -117,6 +89,27 @@ double MaxMachineUtilization(const Cluster& cluster,
   return worst;
 }
 
+// Folds an executed cycle's kExecDone record into its cycle report and the
+// run totals. Live executions, executions the journal shows finished, and
+// executions crash recovery rolled forward are all counted here.
+void RecordExecution(const JournalRecord& done, CycleReport& cr,
+                     WorkflowCounters& totals) {
+  cr.executed = true;
+  cr.reached_target = done.reached_target;
+  cr.moved_containers = done.commands_succeeded;
+  cr.migration_batches = done.batches_executed;
+  cr.commands_failed = done.commands_failed;
+  cr.command_retries = done.retries;
+  cr.replans = done.replans;
+  ++totals.executions;
+  if (!done.reached_target) ++totals.partial_executions;
+  totals.commands_failed += done.commands_failed;
+  totals.command_retries += done.retries;
+  totals.replans += done.replans;
+  totals.sla_violations += done.sla_violations;
+  totals.feasibility_violations += done.feasibility_violations;
+}
+
 // Runs one workflow invocation: the periodic control loop of §III-A plus
 // the durability layer (checkpoints + write-ahead journal) and the resume
 // path that completes interrupted cycles from the journal.
@@ -139,20 +132,51 @@ class WorkflowRunner {
   Status InitDurableFresh();
   Status InitResume();
   Status RunCycleNormal(int cycle);
+  // Step 1 of a live cycle: the collected state, with frozen services
+  // muted so the partitioner treats them as trivial and leaves them in
+  // place.
+  CollectedState Collect();
+  // Copies a successful optimizer run into the cycle report, journals the
+  // delta state and refreshes the ledger summary.
+  Status RecordOptimizerRun(int cycle, const RasaResult& result,
+                            CycleReport& cr);
+  // Step 3 of a live cycle whose plan should execute: validate it, then
+  // roll it back or execute it. An invalid plan leaves `cr` a dry-run and
+  // sets `dry_reason`.
+  Status Reallocate(int cycle, const CollectedState& state,
+                    const RasaResult& result, double min_alive_fraction,
+                    CycleReport& cr, DryReason& dry_reason);
+  Status RollBack(int cycle, const Placement& candidate, CycleReport& cr);
+  Status Execute(int cycle, const Placement& target,
+                 const MigrationPlan& migration, double min_alive_fraction,
+                 CycleReport& cr);
   Status CompleteCycleFromJournal(int cycle, const CycleJournal& cj);
+  // Classifies and rolls forward an execution the journal shows
+  // interrupted; returns its kExecDone record.
+  StatusOr<JournalRecord> RollForwardFromJournal(const CycleJournal& cj);
   // Shared end-of-cycle path: report bookkeeping, drift (journaled fresh or
   // rolled forward from `drift_rec`), cooldown ticks, checkpoint. Sets
   // `crashed_` when a crash point fires mid-tail.
   Status CycleTail(int cycle, CycleReport cr, Stopwatch& timer,
                    const JournalRecord* drift_rec, const Placement* pre_drift);
   Status WriteCheckpoint(int next_cycle);
+  // The run's counters with the chaos totals of this invocation added.
   WorkflowCounters CurrentCounters() const;
+  // Appends a `type` record for `cycle` to the write-ahead journal of a
+  // durable run; in-memory runs skip it. The record is stamped with the
+  // current RNG state (encoded only for the types that carry one), and
+  // `fill` adds the type's payload.
+  template <typename Fill>
+  Status Journal(JournalRecordType type, int cycle, Fill fill);
 
   const Cluster& cluster_;
   const Placement& initial_;
   const AlgorithmSelector& selector_;
   const WorkflowOptions& options_;
 
+  // The counters start at the checkpoint's on resume; faults_injected and
+  // cordons_fired hold only those restored totals until Run() returns
+  // (the injector restarts at 0).
   WorkflowReport report_;
   Placement live_;
   Rng rng_;
@@ -173,9 +197,6 @@ class WorkflowRunner {
   std::unique_ptr<WorkflowJournal> journal_;
   std::shared_ptr<const Cluster> checkpoint_cluster_;
   LedgerSummary last_ledger_;
-  // Chaos totals restored from the checkpoint (the injector restarts at 0).
-  int base_faults_ = 0;
-  int base_cordons_ = 0;
   bool crashed_ = false;
   int start_cycle_ = 0;
   RecoveryAnalysis analysis_;          // resume only
@@ -183,20 +204,21 @@ class WorkflowRunner {
                                        // currently being completed
 };
 
+template <typename Fill>
+Status WorkflowRunner::Journal(JournalRecordType type, int cycle, Fill fill) {
+  if (!durable_) return Status::OK();
+  JournalRecord record;
+  record.type = type;
+  record.cycle = cycle;
+  record.rng_state = rng_.SerializeState();
+  fill(record);
+  return journal_->Append(record);
+}
+
 WorkflowCounters WorkflowRunner::CurrentCounters() const {
-  WorkflowCounters c;
-  c.executions = report_.executions;
-  c.dry_runs = report_.dry_runs;
-  c.rollbacks = report_.rollbacks;
-  c.solver_failures = report_.solver_failures;
-  c.partial_executions = report_.partial_executions;
-  c.commands_failed = report_.commands_failed;
-  c.command_retries = report_.command_retries;
-  c.replans = report_.replans;
-  c.sla_violations = report_.sla_violations;
-  c.feasibility_violations = report_.feasibility_violations;
-  c.faults_injected = base_faults_ + injector_.failures_injected();
-  c.cordons_fired = base_cordons_ + injector_.cordons_fired();
+  WorkflowCounters c = report_;
+  c.faults_injected += injector_.failures_injected();
+  c.cordons_fired += injector_.cordons_fired();
   return c;
 }
 
@@ -210,8 +232,7 @@ Status WorkflowRunner::WriteCheckpoint(int next_cycle) {
   c.incremental = inc_state_;
   c.snapshot.name = StrFormat("workflow-cycle-%d", next_cycle);
   c.snapshot.cluster = checkpoint_cluster_;
-  c.snapshot.original_placement =
-      RebindPlacement(*checkpoint_cluster_, live_);
+  c.snapshot.original_placement = live_.ReboundTo(*checkpoint_cluster_);
   return SaveWorkflowCheckpoint(options_.state_dir, c);
 }
 
@@ -247,25 +268,14 @@ Status WorkflowRunner::InitResume() {
   frozen_cooldown_ = c.frozen_cooldown;
   last_ledger_ = c.ledger;
   inc_state_ = c.incremental;
-  report_.executions = c.counters.executions;
-  report_.dry_runs = c.counters.dry_runs;
-  report_.rollbacks = c.counters.rollbacks;
-  report_.solver_failures = c.counters.solver_failures;
-  report_.partial_executions = c.counters.partial_executions;
-  report_.commands_failed = c.counters.commands_failed;
-  report_.command_retries = c.counters.command_retries;
-  report_.replans = c.counters.replans;
-  report_.sla_violations = c.counters.sla_violations;
-  report_.feasibility_violations = c.counters.feasibility_violations;
-  base_faults_ = c.counters.faults_injected;
-  base_cordons_ = c.counters.cordons_fired;
+  static_cast<WorkflowCounters&>(report_) = c.counters;
   start_cycle_ = c.next_cycle;
   report_.resumed_cycle = start_cycle_;
   report_.recovery.recovered = true;
   report_.recovery.used_previous_checkpoint =
       analysis_.used_previous_checkpoint;
   report_.recovery.journal_torn_tail = analysis_.journal_torn_tail;
-  expected_start_ = RebindPlacement(cluster_, c.snapshot.original_placement);
+  expected_start_ = c.snapshot.original_placement.ReboundTo(cluster_);
   StatusOr<WorkflowJournal> journal = WorkflowJournal::Open(options_.state_dir);
   if (!journal.ok()) return journal.status();
   journal_ = std::make_unique<WorkflowJournal>(std::move(journal).value());
@@ -348,17 +358,11 @@ Status WorkflowRunner::CycleTail(int cycle, CycleReport cr, Stopwatch& timer,
   } else {
     const std::vector<DriftMove> moves =
         ComputeDriftMoves(cluster_, live_, options_.drift_fraction, rng_);
-    if (durable_) {
-      JournalRecord intent;
-      intent.type = JournalRecordType::kDriftIntent;
-      intent.cycle = cycle;
-      intent.rng_state = rng_.SerializeState();
-      intent.moves = moves;
-      RASA_RETURN_IF_ERROR(journal_->Append(intent));
-    }
+    RASA_RETURN_IF_ERROR(
+        Journal(JournalRecordType::kDriftIntent, cycle,
+                [&](JournalRecord& r) { r.moves = moves; }));
     for (const DriftMove& mv : moves) {
-      RASA_CHECK(live_.Remove(mv.from, mv.service).ok());
-      live_.Add(mv.to, mv.service);
+      RASA_CHECK(ApplyDriftMove(live_, mv));
       if (options_.inject_faults && injector_.CrashOnDriftMove()) {
         crashed_ = true;
         return Status::OK();
@@ -379,22 +383,7 @@ Status WorkflowRunner::CycleTail(int cycle, CycleReport cr, Stopwatch& timer,
   return Status::OK();
 }
 
-Status WorkflowRunner::RunCycleNormal(int cycle) {
-  const TraceSpan cycle_span(StrFormat("cycle_%d", cycle));
-  Stopwatch timer;
-  CycleReport cr;
-  cr.affinity_before = GainedAffinity(cluster_, live_);
-
-  if (durable_) {
-    JournalRecord start;
-    start.type = JournalRecordType::kCycleStart;
-    start.cycle = cycle;
-    start.rng_state = rng_.SerializeState();
-    RASA_RETURN_IF_ERROR(journal_->Append(start));
-  }
-
-  // 1) Data collection (measured traffic, frozen services muted so the
-  //    partitioner treats them as trivial and leaves them in place).
+CollectedState WorkflowRunner::Collect() {
   CollectedState state = CollectClusterState(
       cluster_, live_, options_.measurement_noise, rng_.Next());
   bool any_frozen = false;
@@ -408,8 +397,21 @@ Status WorkflowRunner::RunCycleNormal(int cycle) {
     state.measured_cluster = std::make_shared<Cluster>(
         cluster_.resource_names(), cluster_.services(), cluster_.machines(),
         std::move(muted), cluster_.anti_affinity());
-    state.placement = RebindPlacement(*state.measured_cluster, live_);
+    state.placement = live_.ReboundTo(*state.measured_cluster);
   }
+  return state;
+}
+
+Status WorkflowRunner::RunCycleNormal(int cycle) {
+  const TraceSpan cycle_span(StrFormat("cycle_%d", cycle));
+  Stopwatch timer;
+  CycleReport cr;
+  cr.affinity_before = GainedAffinity(cluster_, live_);
+  RASA_RETURN_IF_ERROR(
+      Journal(JournalRecordType::kCycleStart, cycle, [](JournalRecord&) {}));
+
+  // 1) Data collection (measured traffic).
+  const CollectedState state = Collect();
 
   // 2) The RASA algorithm on the collected state. A failed optimizer run
   //    must not abort the workflow: the cycle is recorded as a dry-run
@@ -439,206 +441,172 @@ Status WorkflowRunner::RunCycleNormal(int cycle) {
     dry_reason = DryReason::kSolverFailed;
     ++report_.solver_failures;
   } else {
-    cr.predicted_affinity = optimized->new_gained_affinity;
-    cr.incremental = optimized->incremental;
-    cr.dirty_subproblems = optimized->dirty_subproblems;
-    cr.reused_subproblems = optimized->reused_subproblems;
-    cr.incremental_reason = optimized->incremental_reason;
-    if (durable_ && options_.incremental && inc_state_.valid) {
-      // The delta state must be durable before the cycle's decision record:
-      // a journaled decision then implies recovery can restore the exact
-      // cache the next live cycle diffs against. A crash in between leaves
-      // the decision at kNone and the cycle re-runs live off the
-      // checkpointed (pre-cycle) state.
-      JournalRecord inc;
-      inc.type = JournalRecordType::kIncrementalState;
-      inc.cycle = cycle;
-      inc.incremental_state = EncodeIncrementalStateString(inc_state_);
-      RASA_RETURN_IF_ERROR(journal_->Append(inc));
-    }
-    cr.explain = optimized->report;
-    if (cr.explain.populated) {
-      last_ledger_.subproblems = static_cast<int>(cr.explain.records.size());
-      last_ledger_.greedy_fallbacks = 0;
-      last_ledger_.secondary_successes = 0;
-      for (const LedgerRecord& rec : cr.explain.records) {
-        if (rec.fell_to_greedy) ++last_ledger_.greedy_fallbacks;
-        if (rec.used_secondary) ++last_ledger_.secondary_successes;
-      }
-      last_ledger_.solver_failures = report_.solver_failures;
-      last_ledger_.certificate_gap = cr.explain.certificate.Gap();
-    }
+    RASA_RETURN_IF_ERROR(RecordOptimizerRun(cycle, *optimized, cr));
   }
 
   // 3) Reallocate per the migration plan (or dry-run).
-  bool executed_or_rolled_back = false;
   if (optimized.ok() && optimized->should_execute) {
-    RasaResult& result = *optimized;
-    const Status valid = ValidateMigrationPlan(
-        *state.measured_cluster, state.placement, result.new_placement,
-        result.migration, rasa_options.migration.min_alive_fraction);
-    if (!valid.ok()) {
-      RASA_LOG(Warning) << "migration plan invalid, dry-running: "
-                        << valid.ToString();
-      dry_reason = DryReason::kInvalidPlan;
-    } else {
-      Placement candidate = RebindPlacement(cluster_, result.new_placement);
-      if (MaxMachineUtilization(cluster_, candidate) >
-          options_.rollback_utilization_threshold) {
-        // Rollback: revert, tag the moved services unschedulable.
-        executed_or_rolled_back = true;
-        cr.rolled_back = true;
-        ++report_.rollbacks;
-        std::vector<int> frozen;
-        for (int s = 0; s < cluster_.num_services(); ++s) {
-          bool moved = false;
-          for (const auto& [m, count] : candidate.MachinesOf(s)) {
-            if (live_.CountOn(m, s) != count) {
-              moved = true;
-              break;
-            }
-          }
-          if (moved) {
-            frozen_cooldown_[s] = options_.unschedulable_cycles;
-            frozen.push_back(s);
-          }
-        }
-        if (durable_) {
-          JournalRecord rec;
-          rec.type = JournalRecordType::kDecisionRollback;
-          rec.cycle = cycle;
-          rec.rng_state = rng_.SerializeState();
-          rec.frozen_services = std::move(frozen);
-          RASA_RETURN_IF_ERROR(journal_->Append(rec));
-        }
-      } else {
-        executed_or_rolled_back = true;
-        // Chaos: the cluster drifts between collection and execution, so
-        // the plan is stale and the executor must re-plan mid-flight.
-        if (options_.inject_faults &&
-            options_.faults.stale_snapshot_drift > 0.0) {
-          DriftPlacement(cluster_, live_, options_.faults.stale_snapshot_drift,
-                         rng_);
-        }
-        MigrationExecutorOptions exec_options;
-        exec_options.retry = options_.command_retry;
-        exec_options.min_alive_fraction =
-            rasa_options.migration.min_alive_fraction;
-        exec_options.max_replans = options_.max_replans;
-        exec_options.seed = rng_.Next();
-        if (durable_) {
-          // WAL plan record: the full intent (target + batches + the RNG
-          // state after every pre-execution draw) is durable before the
-          // first command runs, so recovery never re-runs the optimizer.
-          JournalRecord plan;
-          plan.type = JournalRecordType::kPlan;
-          plan.cycle = cycle;
-          plan.rng_state = rng_.SerializeState();
-          plan.exec_seed = exec_options.seed;
-          plan.predicted_affinity = cr.predicted_affinity;
-          for (int m = 0; m < cluster_.num_machines(); ++m) {
-            for (const auto& [s, count] : candidate.ServicesOn(m)) {
-              plan.target.push_back({m, s, count});
-            }
-          }
-          plan.batches = result.migration.batches;
-          RASA_RETURN_IF_ERROR(journal_->Append(plan));
-        }
-        if (options_.use_migration_executor) {
-          PlacementActions base_actions(live_);
-          FaultyClusterActions faulty_actions(base_actions, injector_);
-          ClusterActions& actions =
-              options_.inject_faults
-                  ? static_cast<ClusterActions&>(faulty_actions)
-                  : static_cast<ClusterActions&>(base_actions);
-          exec_options.journal = journal_.get();
-          exec_options.journal_cycle = cycle;
-          if (options_.inject_faults) {
-            exec_options.crash_after_command = [this] {
-              return injector_.CrashOnCommandApplied();
-            };
-            exec_options.crash_after_batch = [this] {
-              return injector_.CrashOnBatchComplete();
-            };
-          }
-          const MigrationExecutionReport exec = ExecuteMigration(
-              cluster_, live_, candidate, result.migration, actions,
-              exec_options);
-          if (exec.crashed) {
-            // Stopped dead mid-execution: the live placement is whatever
-            // the applied commands left behind; nothing else runs.
-            crashed_ = true;
-            return Status::OK();
-          }
-          cr.executed = true;
-          cr.reached_target = exec.reached_target;
-          cr.moved_containers = exec.commands_succeeded;
-          cr.migration_batches = exec.batches_executed;
-          cr.commands_failed = exec.commands_failed;
-          cr.command_retries = exec.retries;
-          cr.replans = exec.replans;
-          ++report_.executions;
-          if (!exec.reached_target) ++report_.partial_executions;
-          report_.commands_failed += exec.commands_failed;
-          report_.command_retries += exec.retries;
-          report_.replans += exec.replans;
-          report_.sla_violations += exec.sla_violations;
-          report_.feasibility_violations += exec.feasibility_violations;
-          if (durable_) {
-            JournalRecord done;
-            done.type = JournalRecordType::kExecDone;
-            done.cycle = cycle;
-            done.reached_target = exec.reached_target;
-            done.batches_executed = exec.batches_executed;
-            done.commands_succeeded = exec.commands_succeeded;
-            done.commands_failed = exec.commands_failed;
-            done.retries = exec.retries;
-            done.replans = exec.replans;
-            done.sla_violations = exec.sla_violations;
-            done.feasibility_violations = exec.feasibility_violations;
-            RASA_RETURN_IF_ERROR(journal_->Append(done));
-          }
-        } else {
-          cr.executed = true;
-          cr.reached_target = true;
-          cr.moved_containers = result.moved_containers;
-          cr.migration_batches =
-              static_cast<int>(result.migration.batches.size());
-          ++report_.executions;
-          live_ = std::move(candidate);
-          if (durable_) {
-            JournalRecord done;
-            done.type = JournalRecordType::kExecDone;
-            done.cycle = cycle;
-            done.reached_target = true;
-            done.batches_executed = cr.migration_batches;
-            done.commands_succeeded = cr.moved_containers;
-            RASA_RETURN_IF_ERROR(journal_->Append(done));
-          }
-        }
+    RASA_RETURN_IF_ERROR(Reallocate(
+        cycle, state, *optimized, rasa_options.migration.min_alive_fraction,
+        cr, dry_reason));
+    if (crashed_) return Status::OK();
+  }
+  if (!cr.executed && !cr.rolled_back) {
+    RASA_RETURN_IF_ERROR(
+        Journal(JournalRecordType::kDecisionDry, cycle,
+                [&](JournalRecord& r) { r.dry_reason = dry_reason; }));
+  }
+  return CycleTail(cycle, std::move(cr), timer, nullptr, nullptr);
+}
+
+Status WorkflowRunner::RecordOptimizerRun(int cycle, const RasaResult& result,
+                                          CycleReport& cr) {
+  cr.predicted_affinity = result.new_gained_affinity;
+  cr.incremental = result.incremental;
+  cr.dirty_subproblems = result.dirty_subproblems;
+  cr.reused_subproblems = result.reused_subproblems;
+  cr.incremental_reason = result.incremental_reason;
+  if (options_.incremental && inc_state_.valid) {
+    // The delta state must be durable before the cycle's decision record:
+    // a journaled decision then implies recovery can restore the exact
+    // cache the next live cycle diffs against. A crash in between leaves
+    // the decision at kNone and the cycle re-runs live off the
+    // checkpointed (pre-cycle) state.
+    RASA_RETURN_IF_ERROR(
+        Journal(JournalRecordType::kIncrementalState, cycle,
+                [&](JournalRecord& r) {
+                  r.incremental_state =
+                      EncodeIncrementalStateString(inc_state_);
+                }));
+  }
+  cr.explain = result.report;
+  if (cr.explain.populated) {
+    last_ledger_.subproblems = static_cast<int>(cr.explain.records.size());
+    last_ledger_.greedy_fallbacks = 0;
+    last_ledger_.secondary_successes = 0;
+    for (const LedgerRecord& rec : cr.explain.records) {
+      if (rec.fell_to_greedy) ++last_ledger_.greedy_fallbacks;
+      if (rec.used_secondary) ++last_ledger_.secondary_successes;
+    }
+    last_ledger_.solver_failures = report_.solver_failures;
+    last_ledger_.certificate_gap = cr.explain.certificate.Gap();
+  }
+  return Status::OK();
+}
+
+Status WorkflowRunner::Reallocate(int cycle, const CollectedState& state,
+                                  const RasaResult& result,
+                                  double min_alive_fraction, CycleReport& cr,
+                                  DryReason& dry_reason) {
+  const Status valid = ValidateMigrationPlan(
+      *state.measured_cluster, state.placement, result.new_placement,
+      result.migration, min_alive_fraction);
+  if (!valid.ok()) {
+    RASA_LOG(Warning) << "migration plan invalid, dry-running: "
+                      << valid.ToString();
+    dry_reason = DryReason::kInvalidPlan;
+    return Status::OK();
+  }
+  const Placement candidate = result.new_placement.ReboundTo(cluster_);
+  if (MaxMachineUtilization(cluster_, candidate) >
+      options_.rollback_utilization_threshold) {
+    return RollBack(cycle, candidate, cr);
+  }
+  return Execute(cycle, candidate, result.migration, min_alive_fraction, cr);
+}
+
+Status WorkflowRunner::RollBack(int cycle, const Placement& candidate,
+                                CycleReport& cr) {
+  // Revert, tag the moved services unschedulable.
+  cr.rolled_back = true;
+  ++report_.rollbacks;
+  std::vector<int> frozen;
+  for (int s = 0; s < cluster_.num_services(); ++s) {
+    bool moved = false;
+    for (const auto& [m, count] : candidate.MachinesOf(s)) {
+      if (live_.CountOn(m, s) != count) {
+        moved = true;
+        break;
       }
     }
+    if (moved) {
+      frozen_cooldown_[s] = options_.unschedulable_cycles;
+      frozen.push_back(s);
+    }
   }
-  if (durable_ && !executed_or_rolled_back) {
-    JournalRecord rec;
-    rec.type = JournalRecordType::kDecisionDry;
-    rec.cycle = cycle;
-    rec.rng_state = rng_.SerializeState();
-    rec.dry_reason = dry_reason;
-    RASA_RETURN_IF_ERROR(journal_->Append(rec));
-  }
+  return Journal(JournalRecordType::kDecisionRollback, cycle,
+                 [&](JournalRecord& r) { r.frozen_services = frozen; });
+}
 
-  return CycleTail(cycle, std::move(cr), timer, nullptr, nullptr);
+Status WorkflowRunner::Execute(int cycle, const Placement& target,
+                               const MigrationPlan& migration,
+                               double min_alive_fraction, CycleReport& cr) {
+  // Chaos: the cluster drifts between collection and execution, so the
+  // plan is stale and the executor must re-plan mid-flight.
+  if (options_.inject_faults && options_.faults.stale_snapshot_drift > 0.0) {
+    DriftPlacement(cluster_, live_, options_.faults.stale_snapshot_drift,
+                   rng_);
+  }
+  MigrationExecutorOptions exec_options;
+  exec_options.retry = options_.command_retry;
+  exec_options.min_alive_fraction = min_alive_fraction;
+  exec_options.max_replans = options_.max_replans;
+  exec_options.seed = rng_.Next();
+  // WAL plan record: the full intent (target + batches + the RNG state
+  // after every pre-execution draw) is durable before the first command
+  // runs, so recovery never re-runs the optimizer.
+  RASA_RETURN_IF_ERROR(
+      Journal(JournalRecordType::kPlan, cycle, [&](JournalRecord& r) {
+        r.exec_seed = exec_options.seed;
+        r.predicted_affinity = cr.predicted_affinity;
+        for (int m = 0; m < cluster_.num_machines(); ++m) {
+          for (const auto& [s, count] : target.ServicesOn(m)) {
+            r.target.push_back({m, s, count});
+          }
+        }
+        r.batches = migration.batches;
+      }));
+  PlacementActions base_actions(live_);
+  FaultyClusterActions faulty_actions(base_actions, injector_);
+  ClusterActions& actions =
+      options_.inject_faults ? static_cast<ClusterActions&>(faulty_actions)
+                             : static_cast<ClusterActions&>(base_actions);
+  exec_options.journal = journal_.get();
+  exec_options.journal_cycle = cycle;
+  if (options_.inject_faults) {
+    exec_options.crash_after_command = [this] {
+      return injector_.CrashOnCommandApplied();
+    };
+    exec_options.crash_after_batch = [this] {
+      return injector_.CrashOnBatchComplete();
+    };
+  }
+  const MigrationExecutionReport exec = ExecuteMigration(
+      cluster_, live_, target, migration, actions, exec_options);
+  if (exec.crashed) {
+    // Stopped dead mid-execution: the live placement is whatever the
+    // applied commands left behind; nothing else runs.
+    crashed_ = true;
+    return Status::OK();
+  }
+  JournalRecord done;
+  done.type = JournalRecordType::kExecDone;
+  done.cycle = cycle;
+  done.reached_target = exec.reached_target;
+  done.batches_executed = exec.batches_executed;
+  done.commands_succeeded = exec.commands_succeeded;
+  done.commands_failed = exec.commands_failed;
+  done.retries = exec.retries;
+  done.replans = exec.replans;
+  done.sla_violations = exec.sla_violations;
+  done.feasibility_violations = exec.feasibility_violations;
+  RecordExecution(done, cr, report_);
+  return Journal(JournalRecordType::kExecDone, cycle,
+                 [&](JournalRecord& r) { r = done; });
 }
 
 Status WorkflowRunner::CompleteCycleFromJournal(int cycle,
                                                 const CycleJournal& cj) {
-  if (cj.decision == CycleJournal::Decision::kNone) {
-    // Only a cycle_start (or nothing) was journaled: no durable side effect
-    // happened, the RNG and cooldowns are still at their cycle-start state,
-    // so the cycle simply runs live.
-    return RunCycleNormal(cycle);
-  }
   const TraceSpan cycle_span(StrFormat("cycle_%d_recovery", cycle));
   Stopwatch timer;
   CycleReport cr;
@@ -674,80 +642,57 @@ Status WorkflowRunner::CompleteCycleFromJournal(int cycle,
       break;
     case CycleJournal::Decision::kExecute: {
       RASA_RETURN_IF_ERROR(rng_.RestoreState(cj.plan.rng_state));
-      cr.executed = true;
       cr.predicted_affinity = cj.plan.predicted_affinity;
-      Placement target(cluster_);
-      for (const std::array<int, 3>& t : cj.plan.target) {
-        target.Add(t[0], t[1], t[2]);
+      // An execution that finished before the crash left the observed
+      // placement at its end state; an interrupted one rolls forward.
+      JournalRecord done = cj.exec_record;
+      if (!cj.exec_done) {
+        RASA_ASSIGN_OR_RETURN(done, RollForwardFromJournal(cj));
       }
-      if (cj.exec_done) {
-        // Execution finished before the crash; the observed placement is
-        // already its end state.
-        const JournalRecord& e = cj.exec_record;
-        cr.reached_target = e.reached_target;
-        cr.moved_containers = e.commands_succeeded;
-        cr.migration_batches = e.batches_executed;
-        cr.commands_failed = e.commands_failed;
-        cr.command_retries = e.retries;
-        cr.replans = e.replans;
-        report_.commands_failed += e.commands_failed;
-        report_.command_retries += e.retries;
-        report_.replans += e.replans;
-        report_.sla_violations += e.sla_violations;
-        report_.feasibility_violations += e.feasibility_violations;
-      } else {
-        // Classify every journaled command against the observed world
-        // before mutating it, then roll the interrupted execution forward.
-        const std::vector<CommandClassification> fates =
-            ClassifyInFlightCommands(cluster_, cj, expected_start_, live_,
-                                     analysis_.journal_torn_tail);
-        for (const CommandClassification& f : fates) {
-          switch (f.fate) {
-            case CommandFate::kApplied:
-              ++report_.recovery.commands_applied_pre_crash;
-              break;
-            case CommandFate::kNotApplied:
-              ++report_.recovery.commands_not_applied;
-              break;
-            case CommandFate::kTorn:
-              ++report_.recovery.commands_torn;
-              break;
-          }
-        }
-        RASA_ASSIGN_OR_RETURN(
-            const RollForwardResult rf,
-            RollForwardExecution(cluster_, cj, expected_start_, live_,
-                                 options_.rasa.migration.min_alive_fraction,
-                                 journal_.get()));
-        cr.reached_target = rf.reached_target;
-        cr.moved_containers =
-            rf.commands_pre_applied + rf.commands_rolled_forward;
-        int num_batches = static_cast<int>(cj.plan.batches.size());
-        if (!cj.batch_intents.empty()) {
-          num_batches =
-              std::max(num_batches, cj.batch_intents.rbegin()->first + 1);
-        }
-        cr.migration_batches = num_batches;
-        report_.sla_violations += rf.sla_violations;
-        report_.feasibility_violations += rf.feasibility_violations;
-        report_.recovery.commands_rolled_forward += rf.commands_rolled_forward;
-        report_.recovery.batches_rolled_forward += rf.batches_rolled_forward;
-        if (rf.abandoned) ++report_.recovery.phases_abandoned;
-      }
-      ++report_.executions;
-      if (!cr.reached_target) ++report_.partial_executions;
-      pre_drift = cr.reached_target ? std::move(target) : live_;
+      RecordExecution(done, cr, report_);
+      pre_drift = cr.reached_target ? TargetFromPlan(cluster_, cj.plan) : live_;
       break;
     }
     case CycleJournal::Decision::kNone:
-      break;  // handled above
+      break;  // Run() runs such cycles live
   }
   return CycleTail(cycle, std::move(cr), timer,
                    cj.drift_started ? &cj.drift_record : nullptr, &pre_drift);
 }
 
+StatusOr<JournalRecord> WorkflowRunner::RollForwardFromJournal(
+    const CycleJournal& cj) {
+  // Classify every journaled command against the observed world before
+  // mutating it, then roll the interrupted execution forward.
+  RecoveryStats& stats = report_.recovery;
+  for (const CommandClassification& f :
+       ClassifyInFlightCommands(cluster_, cj, expected_start_, live_,
+                                analysis_.journal_torn_tail)) {
+    switch (f.fate) {
+      case CommandFate::kApplied:
+        ++stats.commands_applied_pre_crash;
+        break;
+      case CommandFate::kNotApplied:
+        ++stats.commands_not_applied;
+        break;
+      case CommandFate::kTorn:
+        ++stats.commands_torn;
+        break;
+    }
+  }
+  RASA_ASSIGN_OR_RETURN(
+      const RollForwardResult rf,
+      RollForwardExecution(cluster_, cj, expected_start_, live_,
+                           options_.rasa.migration.min_alive_fraction,
+                           journal_.get()));
+  stats.commands_rolled_forward += rf.commands_rolled_forward;
+  stats.batches_rolled_forward += rf.batches_rolled_forward;
+  if (rf.abandoned) ++stats.phases_abandoned;
+  return rf.exec_done;
+}
+
 StatusOr<WorkflowReport> WorkflowRunner::Run() {
-  live_ = RebindPlacement(cluster_, initial_);
+  live_ = initial_.ReboundTo(cluster_);
   // One worker pool shared by every cycle's optimizer run: spawning threads
   // once instead of per cycle keeps the per-cycle overhead at zero.
   const int solver_threads = options_.rasa.num_threads == 0
@@ -790,21 +735,21 @@ StatusOr<WorkflowReport> WorkflowRunner::Run() {
 
   for (int cycle = start_cycle_; cycle < options_.cycles && !crashed_;
        ++cycle) {
-    if (options_.resume) {
-      const auto it = analysis_.cycles.find(cycle);
-      if (it != analysis_.cycles.end() &&
-          it->second.decision != CycleJournal::Decision::kNone) {
-        RASA_RETURN_IF_ERROR(CompleteCycleFromJournal(cycle, it->second));
-        // A completed cycle leaves live_ at the next cycle's start state.
-        expected_start_ = live_;
-        continue;
-      }
+    // Resumed runs complete the cycles the journal decided; a cycle with
+    // at most a cycle_start journaled had no durable side effect (the RNG
+    // and cooldowns are still at its start state), so it runs live.
+    const auto it = analysis_.cycles.find(cycle);
+    if (it == analysis_.cycles.end() ||
+        it->second.decision == CycleJournal::Decision::kNone) {
+      RASA_RETURN_IF_ERROR(RunCycleNormal(cycle));
+      continue;
     }
-    RASA_RETURN_IF_ERROR(RunCycleNormal(cycle));
+    RASA_RETURN_IF_ERROR(CompleteCycleFromJournal(cycle, it->second));
+    // A completed cycle leaves live_ at the next cycle's start state.
+    expected_start_ = live_;
   }
 
-  report_.faults_injected = base_faults_ + injector_.failures_injected();
-  report_.cordons_fired = base_cordons_ + injector_.cordons_fired();
+  static_cast<WorkflowCounters&>(report_) = CurrentCounters();
   report_.crashed = crashed_;
   report_.final_placement = std::move(live_);
   return std::move(report_);
@@ -828,7 +773,7 @@ CollectedState CollectClusterState(const Cluster& cluster,
                                 cluster.machines(), std::move(measured),
                                 cluster.anti_affinity()),
       Placement()};
-  state.placement = RebindPlacement(*state.measured_cluster, live);
+  state.placement = live.ReboundTo(*state.measured_cluster);
   return state;
 }
 

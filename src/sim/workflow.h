@@ -48,12 +48,7 @@ struct WorkflowOptions {
   /// Cycles a rolled-back run keeps its services tagged unschedulable
   /// (stands in for the paper's three days).
   int unschedulable_cycles = 2;
-  /// Execute migration plans command-by-command through the hardened
-  /// executor (retry/backoff, SLA re-verification after every partial
-  /// batch, re-planning around failures) instead of atomically swapping in
-  /// the target placement.
-  bool use_migration_executor = true;
-  /// Per-command retry/backoff policy of the executor.
+  /// Per-command retry/backoff policy of the migration executor.
   RetryPolicy command_retry;
   /// Maximum executor re-planning rounds per cycle.
   int max_replans = 4;
@@ -156,27 +151,11 @@ struct CycleReport {
   CycleTelemetry telemetry;
 };
 
-struct WorkflowReport {
+/// The run's counters (WorkflowCounters, the part a checkpoint carries
+/// across a resume) plus its per-cycle reports.
+struct WorkflowReport : WorkflowCounters {
   std::vector<CycleReport> cycles;
   Placement final_placement;
-  int executions = 0;
-  int dry_runs = 0;
-  int rollbacks = 0;
-  /// Cycles whose optimizer call errored out (counted as dry-runs).
-  int solver_failures = 0;
-  /// Executions that stopped short of the target placement.
-  int partial_executions = 0;
-  // Executor totals across all cycles.
-  int commands_failed = 0;
-  int command_retries = 0;
-  int replans = 0;
-  /// Post-batch invariant audits that failed (must stay 0, even under
-  /// injected faults).
-  int sla_violations = 0;
-  int feasibility_violations = 0;
-  // Chaos-harness totals (0 unless inject_faults).
-  int faults_injected = 0;
-  int cordons_fired = 0;
   /// A simulated crash point fired and stopped the run dead: the report
   /// covers only the work up to the crash and `final_placement` is the live
   /// cluster state at the instant of death (what a restarted controller

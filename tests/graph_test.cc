@@ -103,38 +103,37 @@ TEST(AffinityGraphTest, CutWeight) {
   EXPECT_DOUBLE_EQ(g.CutWeight({0, 1, 2}), 6.0);
 }
 
-// The CSR backend engages above the dense-backend vertex cutoff (64); the
-// view API must behave identically on both sides of it.
-TEST(AffinityGraphTest, CsrBackendMatchesDenseSemantics) {
-  // Same edge script on a 10-vertex (dense) and a 100-vertex (CSR) graph;
-  // the extra CSR vertices stay isolated, so shared vertices must agree
-  // exactly — including neighbor iteration order.
-  AffinityGraph dense(10);
-  AffinityGraph csr(100);
+// The view API must not depend on the vertex count: the same edge script
+// on a 10-vertex and a 100-vertex graph leaves the extra vertices
+// isolated, so shared vertices must agree exactly — including neighbor
+// iteration order.
+TEST(AffinityGraphTest, SmallAndLargeGraphsAgree) {
+  AffinityGraph small(10);
+  AffinityGraph large(100);
   Rng rng(33);
   for (int i = 0; i < 60; ++i) {
     const int u = static_cast<int>(rng.NextUint64(10));
     const int v = static_cast<int>(rng.NextUint64(10));
     if (u == v) continue;
     const double w = 0.25 + rng.NextDouble();
-    ASSERT_EQ(dense.AddEdge(u, v, w).ok(), csr.AddEdge(u, v, w).ok());
+    ASSERT_EQ(small.AddEdge(u, v, w).ok(), large.AddEdge(u, v, w).ok());
   }
-  ASSERT_EQ(dense.num_edges(), csr.num_edges());
+  ASSERT_EQ(small.num_edges(), large.num_edges());
   for (int v = 0; v < 10; ++v) {
-    ASSERT_EQ(dense.Degree(v), csr.Degree(v)) << "vertex " << v;
-    const auto d = dense.Neighbors(v);
-    const auto c = csr.Neighbors(v);
-    for (size_t i = 0; i < d.size(); ++i) {
-      EXPECT_EQ(d[i].first, c[i].first) << "vertex " << v << " slot " << i;
-      EXPECT_EQ(d[i].second, c[i].second) << "vertex " << v << " slot " << i;
+    ASSERT_EQ(small.Degree(v), large.Degree(v)) << "vertex " << v;
+    const auto a = small.Neighbors(v);
+    const auto b = large.Neighbors(v);
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].first, b[i].first) << "vertex " << v << " slot " << i;
+      EXPECT_EQ(a[i].second, b[i].second) << "vertex " << v << " slot " << i;
     }
-    EXPECT_EQ(dense.TotalAffinityOf(v), csr.TotalAffinityOf(v));
+    EXPECT_EQ(small.TotalAffinityOf(v), large.TotalAffinityOf(v));
   }
-  EXPECT_DOUBLE_EQ(dense.TotalWeight(), csr.TotalWeight());
+  EXPECT_DOUBLE_EQ(small.TotalWeight(), large.TotalWeight());
 }
 
 TEST(AffinityGraphTest, CsrRebuildsAfterMutation) {
-  AffinityGraph g(80);  // above the dense-backend cutoff
+  AffinityGraph g(80);
   ASSERT_TRUE(g.AddEdge(0, 1, 1.0).ok());
   EXPECT_EQ(g.Degree(0), 1);  // forces the CSR build
   ASSERT_TRUE(g.AddEdge(0, 2, 2.0).ok());   // new edge invalidates it
@@ -145,7 +144,7 @@ TEST(AffinityGraphTest, CsrRebuildsAfterMutation) {
   g.NormalizeWeights();
   EXPECT_NEAR(g.TotalWeight(), 1.0, 1e-12);
   EXPECT_NEAR(EdgeWeightOf(g, 0, 2), 2.0 / 3.5, 1e-12);
-  // Neighbor order is edge first-insertion order, same as the dense backend.
+  // Neighbor order is edge first-insertion order.
   const auto nbrs = g.Neighbors(0);
   ASSERT_EQ(nbrs.size(), 2u);
   EXPECT_EQ(nbrs[0].first, 1);

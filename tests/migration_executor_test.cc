@@ -62,7 +62,7 @@ TEST(MigrationExecutorTest, FaultFreeExecutionReachesTarget) {
       ExecuteMigration(cluster, live, sc.target, sc.plan, actions);
   EXPECT_TRUE(report.reached_target);
   EXPECT_EQ(report.residual_diff, 0);
-  EXPECT_EQ(live.DiffCount(sc.target), 0);
+  EXPECT_EQ(live.SymmetricDiff(sc.target), 0);
   EXPECT_EQ(report.commands_failed, 0);
   EXPECT_EQ(report.commands_deferred, 0);
   EXPECT_EQ(report.retries, 0);
@@ -105,7 +105,7 @@ TEST(MigrationExecutorTest, DeterministicUnderSameSeed) {
   EXPECT_EQ(a.replans, b.replans);
   EXPECT_EQ(a.reached_target, b.reached_target);
   EXPECT_DOUBLE_EQ(a.backoff_seconds, b.backoff_seconds);
-  EXPECT_EQ(live_a.DiffCount(live_b), 0);
+  EXPECT_EQ(live_a.SymmetricDiff(live_b), 0);
 }
 
 TEST(MigrationExecutorTest, CordonMidMigrationKeepsInvariants) {
@@ -162,7 +162,7 @@ TEST_P(ExecutorChaosPropertyTest, TransientFaultsRetryToTarget) {
   // Transient faults only: retries (plus re-planning at worst) must reach
   // the exact target placement.
   EXPECT_TRUE(report.reached_target) << "residual " << report.residual_diff;
-  EXPECT_EQ(live.DiffCount(sc.target), 0);
+  EXPECT_EQ(live.SymmetricDiff(sc.target), 0);
   EXPECT_EQ(report.dropped_containers, 0);
   EXPECT_GT(report.retries, 0);
   EXPECT_TRUE(live.CheckFeasible(true).ok());

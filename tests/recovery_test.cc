@@ -348,12 +348,12 @@ TEST(RecoveryTest, RollsInterruptedBatchForwardToTarget) {
       *cluster, cj, start, observed, /*min_alive_fraction=*/0.5,
       /*journal=*/nullptr);
   ASSERT_TRUE(rf.ok()) << rf.status();
-  EXPECT_TRUE(rf->reached_target);
+  EXPECT_TRUE(rf->exec_done.reached_target);
   EXPECT_FALSE(rf->abandoned);
   EXPECT_EQ(rf->commands_pre_applied, 3);
   EXPECT_EQ(rf->commands_rolled_forward, 1);
-  EXPECT_EQ(rf->sla_violations, 0);
-  EXPECT_EQ(rf->feasibility_violations, 0);
+  EXPECT_EQ(rf->exec_done.sla_violations, 0);
+  EXPECT_EQ(rf->exec_done.feasibility_violations, 0);
 
   // Final placement is exactly the journaled target.
   EXPECT_EQ(observed.CountOn(0, 0), 1);
@@ -410,7 +410,7 @@ TEST(RecoveryTest, RollsDriftForwardFromTheAppliedPrefix) {
   weird.Add(2, 2, 2);
   const Placement before = weird;
   EXPECT_EQ(RollForwardDrift(*cluster, moves, pre_drift, weird), -1);
-  EXPECT_EQ(weird.DiffCount(before), 0);
+  EXPECT_EQ(weird.SymmetricDiff(before), 0);
 }
 
 TEST(RecoveryTest, AnalysisSkipsCyclesOlderThanTheCheckpoint) {

@@ -118,7 +118,7 @@ void CheckCrashRecovery(const std::string& name, int threads,
   EXPECT_TRUE(resumed.recovery.recovered);
   EXPECT_EQ(resumed.sla_violations, 0);
   EXPECT_EQ(resumed.feasibility_violations, 0);
-  EXPECT_EQ(resumed.final_placement.DiffCount(baseline.final_placement), 0)
+  EXPECT_EQ(resumed.final_placement.SymmetricDiff(baseline.final_placement), 0)
       << "recovered placement diverged from the uninterrupted run";
   EXPECT_DOUBLE_EQ(
       GainedAffinity(*TestSnapshot().cluster, resumed.final_placement),
@@ -136,7 +136,7 @@ TEST(WorkflowRecoveryTest, DurableRunMatchesInMemoryRun) {
         MustRun(BaseOptions(threads), TestSnapshot().original_placement);
     const WorkflowReport& durable = Baseline(threads);
     EXPECT_EQ(
-        in_memory.final_placement.DiffCount(durable.final_placement), 0);
+        in_memory.final_placement.SymmetricDiff(durable.final_placement), 0);
     EXPECT_EQ(in_memory.executions, durable.executions);
     EXPECT_EQ(in_memory.dry_runs, durable.dry_runs);
   }
@@ -148,7 +148,7 @@ TEST(WorkflowRecoveryTest, BaselineIdenticalAcrossThreadCounts) {
   const WorkflowReport& one = Baseline(1);
   for (int threads : {4, 8}) {
     EXPECT_EQ(
-        Baseline(threads).final_placement.DiffCount(one.final_placement), 0)
+        Baseline(threads).final_placement.SymmetricDiff(one.final_placement), 0)
         << threads << " threads";
   }
 }
@@ -240,7 +240,7 @@ TEST(WorkflowRecoveryTest, TornJournalTailStillRecovers) {
         MustRun(resume_options, crashed.final_placement);
     EXPECT_EQ(resumed.sla_violations, 0);
     EXPECT_EQ(resumed.feasibility_violations, 0);
-    EXPECT_EQ(resumed.final_placement.DiffCount(baseline.final_placement),
+    EXPECT_EQ(resumed.final_placement.SymmetricDiff(baseline.final_placement),
               0);
   }
 }
@@ -279,7 +279,7 @@ TEST(WorkflowRecoveryTest, TornCheckpointFallsBackToPrevious) {
     EXPECT_TRUE(resumed.recovery.used_previous_checkpoint);
     EXPECT_EQ(resumed.sla_violations, 0);
     EXPECT_EQ(resumed.feasibility_violations, 0);
-    EXPECT_EQ(resumed.final_placement.DiffCount(clean.final_placement), 0);
+    EXPECT_EQ(resumed.final_placement.SymmetricDiff(clean.final_placement), 0);
   }
 }
 
@@ -298,7 +298,7 @@ TEST(WorkflowRecoveryTest, ResumeAfterCleanShutdownIsANoOp) {
   EXPECT_EQ(resumed.resumed_cycle, 3);
   EXPECT_TRUE(resumed.cycles.empty());
   EXPECT_EQ(resumed.recovery.cycles_completed_from_journal, 0);
-  EXPECT_EQ(resumed.final_placement.DiffCount(baseline.final_placement), 0);
+  EXPECT_EQ(resumed.final_placement.SymmetricDiff(baseline.final_placement), 0);
   // Counters carried over from the checkpoint, not reset.
   EXPECT_EQ(resumed.executions, baseline.executions);
   EXPECT_EQ(resumed.dry_runs, baseline.dry_runs);
