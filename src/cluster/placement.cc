@@ -85,29 +85,34 @@ int Placement::RuleCount(int machine, int rule) const {
   return count;
 }
 
+Status Placement::CheckMachineFeasible(int m) const {
+  for (int r = 0; r < cluster_->num_resources(); ++r) {
+    if (used_[m][r] > cluster_->machine(m).capacity[r] + kCapacityTolerance) {
+      return FailedPreconditionError(StrFormat(
+          "machine %d over capacity on resource %d: %g > %g", m, r,
+          used_[m][r], cluster_->machine(m).capacity[r]));
+    }
+  }
+  for (const auto& [s, count] : by_machine_[m]) {
+    if (count > 0 && !cluster_->CanHost(m, s)) {
+      return FailedPreconditionError(
+          StrFormat("machine %d cannot host service %d", m, s));
+    }
+  }
+  for (size_t k = 0; k < cluster_->anti_affinity().size(); ++k) {
+    const AntiAffinityRule& rule = cluster_->anti_affinity()[k];
+    if (RuleCount(m, static_cast<int>(k)) > rule.max_per_machine) {
+      return FailedPreconditionError(StrFormat(
+          "machine %d violates anti-affinity rule %zu (%d > %d)", m, k,
+          RuleCount(m, static_cast<int>(k)), rule.max_per_machine));
+    }
+  }
+  return Status::OK();
+}
+
 Status Placement::CheckFeasible(bool check_sla) const {
   for (int m = 0; m < cluster_->num_machines(); ++m) {
-    for (int r = 0; r < cluster_->num_resources(); ++r) {
-      if (used_[m][r] > cluster_->machine(m).capacity[r] + kCapacityTolerance) {
-        return FailedPreconditionError(StrFormat(
-            "machine %d over capacity on resource %d: %g > %g", m, r,
-            used_[m][r], cluster_->machine(m).capacity[r]));
-      }
-    }
-    for (const auto& [s, count] : by_machine_[m]) {
-      if (count > 0 && !cluster_->CanHost(m, s)) {
-        return FailedPreconditionError(
-            StrFormat("machine %d cannot host service %d", m, s));
-      }
-    }
-    for (size_t k = 0; k < cluster_->anti_affinity().size(); ++k) {
-      const AntiAffinityRule& rule = cluster_->anti_affinity()[k];
-      if (RuleCount(m, static_cast<int>(k)) > rule.max_per_machine) {
-        return FailedPreconditionError(StrFormat(
-            "machine %d violates anti-affinity rule %zu (%d > %d)", m, k,
-            RuleCount(m, static_cast<int>(k)), rule.max_per_machine));
-      }
-    }
+    RASA_RETURN_IF_ERROR(CheckMachineFeasible(m));
   }
   if (check_sla) {
     for (int s = 0; s < cluster_->num_services(); ++s) {

@@ -62,6 +62,9 @@ class Placement {
   /// Full feasibility audit (resources, anti-affinity, schedulability).
   /// With `check_sla`, also verifies TotalOf(s) == demand for all services.
   Status CheckFeasible(bool check_sla = true) const;
+  /// CheckFeasible's audit of one machine: its resources, the services it
+  /// hosts, and every anti-affinity rule.
+  Status CheckMachineFeasible(int machine) const;
 
   /// Number of containers whose (service, machine) assignment differs from
   /// `other` — the migration volume between two placements (counts moved

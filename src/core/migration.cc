@@ -53,17 +53,17 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
   std::vector<int> offline(N, 0);
   // How many creations each service still owes (bounded by the matched
   // delete/create volume; excess deletes are stranded to the final batch).
+  // A surplus sits only where `current` has containers, a deficit only
+  // where `target` has them.
   std::vector<int> pending_creates(N, 0);
   std::vector<int> pending_deletes(N, 0);
   for (int s = 0; s < N; ++s) {
-    int surplus = 0;
-    int deficit = 0;
-    for (int m = 0; m < M; ++m) {
-      surplus += SurplusOn(current, target, m, s);
-      deficit += DeficitOn(current, target, m, s);
+    for (const auto& [m, count] : current.MachinesOf(s)) {
+      pending_deletes[s] += SurplusOn(current, target, m, s);
     }
-    pending_deletes[s] = surplus;
-    pending_creates[s] = deficit;
+    for (const auto& [m, count] : target.MachinesOf(s)) {
+      pending_creates[s] += DeficitOn(current, target, m, s);
+    }
   }
 
   // SLA floor (shared with validator and executor; see MinAliveFloor for
@@ -150,10 +150,6 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
     // Done with the matched moves?
     bool pending = false;
     for (int s = 0; s < N; ++s) {
-      if (pending_creates[s] > 0 ||
-          pending_deletes[s] > pending_creates[s]) {
-        // pending_deletes beyond creates is stranded surplus; handled below.
-      }
       if (pending_creates[s] > 0) pending = true;
     }
     if (!pending) break;
@@ -215,7 +211,20 @@ Status ValidateMigrationPlan(const Cluster& cluster, const Placement& original,
         current.Add(cmd.machine, cmd.service);
       }
     }
-    RASA_RETURN_IF_ERROR(current.CheckFeasible(/*check_sla=*/false));
+    // The first batch audits every machine; a machine no later batch
+    // touches keeps the state that audit passed. Touched machines go in id
+    // order, so the error names the machine the full audit would.
+    if (batch_index == 0) {
+      RASA_RETURN_IF_ERROR(current.CheckFeasible(/*check_sla=*/false));
+    } else {
+      std::vector<int> touched;
+      for (const MigrationCommand& cmd : batch) touched.push_back(cmd.machine);
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+      for (int m : touched) {
+        RASA_RETURN_IF_ERROR(current.CheckMachineFeasible(m));
+      }
+    }
     // The last batch may hold stranded deletes, after which under-deployment
     // is the (reported) end state; every intermediate batch honors the SLA.
     const bool last = batch_index + 1 == plan.batches.size();
@@ -232,13 +241,16 @@ Status ValidateMigrationPlan(const Cluster& cluster, const Placement& original,
     }
     ++batch_index;
   }
-  // Final state must equal the target exactly.
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    for (int s = 0; s < cluster.num_services(); ++s) {
-      if (current.CountOn(m, s) != target.CountOn(m, s)) {
-        return FailedPreconditionError(StrFormat(
-            "final state mismatch at machine %d service %d: %d != %d", m, s,
-            current.CountOn(m, s), target.CountOn(m, s)));
+  // Final state must equal the target exactly; the scan only names the
+  // first mismatch.
+  if (current.SymmetricDiff(target) != 0) {
+    for (int m = 0; m < cluster.num_machines(); ++m) {
+      for (int s = 0; s < cluster.num_services(); ++s) {
+        if (current.CountOn(m, s) != target.CountOn(m, s)) {
+          return FailedPreconditionError(StrFormat(
+              "final state mismatch at machine %d service %d: %d != %d", m, s,
+              current.CountOn(m, s), target.CountOn(m, s)));
+        }
       }
     }
   }

@@ -140,6 +140,127 @@ TEST(MigrationTest, ValidateCatchesCorruptPlan) {
   EXPECT_FALSE(ValidateMigrationPlan(*cluster, from, to, bogus).ok());
 }
 
+// ValidateMigrationPlan rejections: each case fails with
+// FailedPrecondition and names what broke.
+MigrationCommand Delete(int service, int machine) {
+  return {MigrationCommandType::kDelete, service, machine};
+}
+MigrationCommand Create(int service, int machine) {
+  return {MigrationCommandType::kCreate, service, machine};
+}
+
+void ExpectRejected(const Status& status, const std::string& message) {
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find(message), std::string::npos)
+      << status.ToString();
+}
+
+TEST(MigrationTest, ValidateRejectsOverCapacityCreateMidPlan) {
+  auto cluster = ClusterBuilder()
+                     .AddService(2, {1.0})
+                     .AddService(1, {3.0})
+                     .AddMachine({4.0})
+                     .AddMachine({4.0})
+                     .Build();
+  Placement from(*cluster);
+  from.Add(0, 0, 2);
+  from.Add(1, 1);
+  Placement to(*cluster);
+  to.Add(1, 0, 2);
+  to.Add(1, 1);
+  MigrationPlan plan;
+  plan.batches = {{Delete(0, 0)}, {Create(0, 1)}, {Delete(0, 0)},
+                  {Create(0, 1)}};
+  ExpectRejected(ValidateMigrationPlan(*cluster, from, to, plan),
+                 "batch 3: create of service 0 on machine 1 infeasible");
+}
+
+TEST(MigrationTest, ValidateRejectsAntiAffinityBreach) {
+  auto cluster = ClusterBuilder()
+                     .AddService(2, {1.0})
+                     .AddMachine({4.0})
+                     .AddMachine({4.0})
+                     .AddRule({0}, 1)
+                     .Build();
+  Placement from(*cluster);
+  from.Add(0, 0);
+  from.Add(1, 0);
+  Placement to(*cluster);
+  to.Add(1, 0, 2);
+  MigrationPlan plan;
+  plan.batches = {{Delete(0, 0)}, {Create(0, 1)}};
+  ExpectRejected(ValidateMigrationPlan(*cluster, from, to, plan),
+                 "batch 1: create of service 0 on machine 1 infeasible");
+}
+
+TEST(MigrationTest, ValidateRejectsSlaFloorBreach) {
+  // d = 4 keeps a floor of 3 alive: two deletes in one batch break it.
+  auto cluster = ClusterBuilder()
+                     .AddService(4, {1.0})
+                     .AddMachine({4.0})
+                     .AddMachine({4.0})
+                     .Build();
+  Placement from(*cluster);
+  from.Add(0, 0, 4);
+  Placement to(*cluster);
+  to.Add(0, 0);
+  to.Add(1, 0, 3);
+  MigrationPlan plan;
+  plan.batches = {{Delete(0, 0)}, {Create(0, 1)}, {Delete(0, 0), Delete(0, 0)},
+                  {Create(0, 1)}, {Create(0, 1)}};
+  ExpectRejected(ValidateMigrationPlan(*cluster, from, to, plan),
+                 "batch 2: service 0 down to 2/4 alive");
+}
+
+TEST(MigrationTest, ValidateRejectsWrongFinalState) {
+  auto cluster = ClusterBuilder()
+                     .AddService(2, {1.0})
+                     .AddService(1, {1.0})
+                     .AddMachine({4.0})
+                     .AddMachine({4.0})
+                     .Build();
+  Placement from(*cluster);
+  from.Add(0, 0, 2);
+  from.Add(0, 1);
+  Placement to(*cluster);
+  to.Add(0, 0);
+  to.Add(1, 0);
+  to.Add(1, 1);
+  // Moves one container of service 0 but leaves service 1 where it was.
+  MigrationPlan plan;
+  plan.batches = {{Delete(0, 0)}, {Create(0, 1)}};
+  ExpectRejected(ValidateMigrationPlan(*cluster, from, to, plan),
+                 "final state mismatch at machine 0 service 1: 1 != 0");
+}
+
+TEST(MigrationTest, ValidateRejectsInfeasibleOriginal) {
+  // Machine 1 starts over capacity; the plan never touches it, and the
+  // first batch's full audit still finds it.
+  auto cluster = ClusterBuilder()
+                     .AddService(2, {1.0})
+                     .AddService(3, {2.0})
+                     .AddMachine({4.0})
+                     .AddMachine({4.0})
+                     .AddMachine({4.0})
+                     .Build();
+  Placement from(*cluster);
+  from.Add(0, 0, 2);
+  from.Add(1, 1, 3);
+  Placement to(*cluster);
+  to.Add(0, 0);
+  to.Add(2, 0);
+  to.Add(1, 1, 3);
+  MigrationPlan plan;
+  plan.batches = {{Delete(0, 0)}, {Create(0, 2)}};
+  ExpectRejected(ValidateMigrationPlan(*cluster, from, to, plan),
+                 "machine 1 over capacity on resource 0");
+
+  // With nothing to replay there is no batch to audit: an empty plan
+  // between equal placements is accepted.
+  EXPECT_TRUE(
+      ValidateMigrationPlan(*cluster, from, from, MigrationPlan{}).ok());
+}
+
 TEST(MigrationTest, BatchesAreOneCommandPerMachine) {
   auto cluster = ClusterBuilder()
                      .AddService(6, {1.0})

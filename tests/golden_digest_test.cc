@@ -16,8 +16,6 @@
 // prints the new value; say in the change description why it moved.
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <deque>
 #include <string>
 #include <utility>
@@ -36,19 +34,8 @@ namespace {
 
 constexpr int kThreadCounts[] = {1, 4};
 
-std::string Fnv1a(const std::string& text) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
-  return buf;
-}
-
 std::string DigestOf(const RasaResult& result) {
-  return Fnv1a(testing::CanonicalResultJson(result));
+  return testing::Fnv1a(testing::CanonicalResultJson(result));
 }
 
 // Eleven subproblems at 12 services each.
@@ -215,7 +202,7 @@ TEST(GoldenDigestTest, IncrementalCycles) {
     EXPECT_GT(dirty_reusing, 0);
     EXPECT_EQ(reasons.front(), "cold-start");
     EXPECT_EQ(reasons.back(), "drift-threshold");
-    EXPECT_EQ(Fnv1a(w.str()), "9fab858f1858a5f7");
+    EXPECT_EQ(testing::Fnv1a(w.str()), "9fab858f1858a5f7");
   }
 }
 

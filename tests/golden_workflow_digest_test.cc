@@ -15,8 +15,6 @@
 // A deliberate behaviour change re-pins a digest: the failure message
 // prints the new value; say in the change description why it moved.
 
-#include <cinttypes>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <utility>
@@ -36,17 +34,6 @@ namespace rasa {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 4};
-
-std::string Fnv1a(const std::string& text) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
-  return buf;
-}
 
 const ClusterSnapshot& TestSnapshot() {
   static const ClusterSnapshot* snapshot =
@@ -173,7 +160,7 @@ void AppendStateFiles(JsonWriter& w, const std::string& dir) {
   for (const char* name : {"journal.wal", "checkpoint"}) {
     StatusOr<std::string> bytes = ReadFileToString(dir + "/" + name);
     RASA_CHECK(bytes.ok()) << bytes.status().ToString();
-    w.Key(name).Value(Fnv1a(*bytes));
+    w.Key(name).Value(testing::Fnv1a(*bytes));
   }
 }
 
@@ -188,7 +175,7 @@ std::string DigestOfRun(WorkflowOptions options, const std::string& name,
   AppendReport(w, *out);
   if (!name.empty()) AppendStateFiles(w, options.state_dir);
   w.EndObject();
-  return Fnv1a(w.str());
+  return testing::Fnv1a(w.str());
 }
 
 // Runs with `crash` faults until the crash point fires, lets `tamper` damage
@@ -224,7 +211,7 @@ std::string DigestOfCrashAndResume(
   AppendReport(w, *resumed);
   AppendStateFiles(w, dir);
   w.EndObject();
-  return Fnv1a(w.str());
+  return testing::Fnv1a(w.str());
 }
 
 TEST(GoldenWorkflowDigestTest, FaultFree) {

@@ -5,6 +5,8 @@
 // and one canonical, timing-free rendering of a RasaResult that the
 // determinism and golden-digest suites compare bit for bit.
 
+#include <cinttypes>
+#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -15,6 +17,18 @@
 #include "core/rasa.h"
 
 namespace rasa::testing {
+
+/// FNV-1a of `text` as 16 hex digits: the golden suites' digest.
+inline std::string Fnv1a(const std::string& text) {
+  uint64_t h = 1469598103934665603ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+  return buf;
+}
 
 /// `spec` generated with generator seed `seed`.
 inline ClusterSnapshot MakeSnapshot(ClusterSpec spec, uint64_t seed) {
