@@ -30,6 +30,7 @@
 #include "core/greedy.h"
 #include "core/mip_algorithm.h"
 #include "core/partitioning.h"
+#include "lp/revised_simplex.h"
 #include "lp/simplex.h"
 #include "mip/solver.h"
 
@@ -168,19 +169,14 @@ int main() {
   int refactorizations = 0, max_eta = 0;
   int objective_mismatches = 0, timed_models = 0;
   for (const SubproblemMip& m : models) {
-    LpOptions dense;
-    dense.algorithm = LpAlgorithm::kDenseTableau;
-    dense.max_iterations = kProbeIterations;
+    LpOptions probe;
+    probe.max_iterations = kProbeIterations;
     Stopwatch sw_dense;
-    LpResult rd = SolveLp(m.model, dense);
+    LpResult rd = SolveLpDenseTableau(m.model, probe);
     const double dsecs = sw_dense.ElapsedSeconds();
 
-    LpOptions revised;
-    revised.algorithm = LpAlgorithm::kRevised;
-    revised.dense_size_cutoff = 0;  // force the factorized kernel
-    revised.max_iterations = kProbeIterations;
     Stopwatch sw_revised;
-    LpResult rr = SolveLp(m.model, revised);
+    LpResult rr = SolveLpRevised(m.model, probe);
     const double rsecs = sw_revised.ElapsedSeconds();
 
     if (rd.status == LpStatus::kIterationLimit ||

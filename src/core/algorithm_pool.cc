@@ -100,4 +100,11 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
   return result;
 }
 
+bool PoolAlgorithmFails(PoolAlgorithm algorithm, const Cluster& cluster,
+                        const Subproblem& subproblem) {
+  return algorithm == PoolAlgorithm::kMip &&
+         SubproblemMipRows(cluster, subproblem) >
+             MipAlgorithmOptions().max_model_rows;
+}
+
 }  // namespace rasa

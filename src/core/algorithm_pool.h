@@ -43,6 +43,12 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
     PoolAttemptStats* stats = nullptr,
     const Placement* mip_incumbent = nullptr);
 
+/// True iff RunPoolAlgorithm on `subproblem` returns an error, whatever
+/// the placements, deadline and seed: CG never does (it falls back to the
+/// greedy), and MIP does exactly when its model is over the row cap.
+bool PoolAlgorithmFails(PoolAlgorithm algorithm, const Cluster& cluster,
+                        const Subproblem& subproblem);
+
 }  // namespace rasa
 
 #endif  // RASA_CORE_ALGORITHM_POOL_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -61,7 +60,41 @@ void RecordMipMetrics(const MipResult& result) {
   node_pivots.Observe(static_cast<double>(result.max_node_pivots));
 }
 
+// Anti-affinity rules intersecting the subproblem, in first-seen order.
+std::vector<int> ActiveRules(const Cluster& cluster,
+                             const Subproblem& subproblem) {
+  std::vector<int> active_rules;
+  std::vector<bool> seen(cluster.anti_affinity().size(), false);
+  for (int s : subproblem.services) {
+    for (int k : cluster.RulesOfService(s)) {
+      if (!seen[k]) {
+        seen[k] = true;
+        active_rules.push_back(k);
+      }
+    }
+  }
+  return active_rules;
+}
+
+// Constraint rows of a subproblem MIP over `columns` machine columns
+// (machines, or machine groups): one SLA row per service, and per column
+// one row per resource, one per active rule and two per affinity edge.
+long long ModelRows(const Cluster& cluster, const Subproblem& subproblem,
+                    size_t num_rules, int columns) {
+  const long long per_column =
+      cluster.num_resources() + static_cast<long long>(num_rules) +
+      2 * static_cast<long long>(subproblem.edges.size());
+  return static_cast<long long>(subproblem.services.size()) +
+         per_column * columns;
+}
+
 }  // namespace
+
+long long SubproblemMipRows(const Cluster& cluster,
+                            const Subproblem& subproblem) {
+  return ModelRows(cluster, subproblem, ActiveRules(cluster, subproblem).size(),
+                   static_cast<int>(subproblem.machines.size()));
+}
 
 StatusOr<SubproblemMip> BuildSubproblemMip(const Cluster& cluster,
                                            const Subproblem& subproblem,
@@ -72,25 +105,8 @@ StatusOr<SubproblemMip> BuildSubproblemMip(const Cluster& cluster,
   const int E = static_cast<int>(subproblem.edges.size());
   const int R = cluster.num_resources();
 
-  // Count anti-affinity rows: rules intersecting the subproblem, per machine.
-  std::vector<int> active_rules;
-  {
-    std::unordered_map<int, int> member;
-    for (int i = 0; i < S; ++i) member[subproblem.services[i]] = i;
-    std::vector<bool> seen(cluster.anti_affinity().size(), false);
-    for (int s : subproblem.services) {
-      for (int k : cluster.RulesOfService(s)) {
-        if (!seen[k]) {
-          seen[k] = true;
-          active_rules.push_back(k);
-        }
-      }
-    }
-  }
-
-  const long long rows = static_cast<long long>(S) + 1LL * R * M +
-                         1LL * static_cast<long long>(active_rules.size()) * M +
-                         2LL * E * M;
+  const std::vector<int> active_rules = ActiveRules(cluster, subproblem);
+  const long long rows = ModelRows(cluster, subproblem, active_rules.size(), M);
   if (rows > max_model_rows) {
     return ResourceExhaustedError(StrFormat(
         "subproblem MIP needs %lld rows > cap %d (S=%d M=%d E=%d)", rows,
@@ -208,23 +224,8 @@ StatusOr<SubproblemSolution> SolveSubproblemMipGrouped(
 
   std::vector<int> local_of(cluster.num_services(), -1);
   for (int i = 0; i < S; ++i) local_of[subproblem.services[i]] = i;
-  std::vector<int> active_rules;
-  {
-    std::vector<bool> seen(cluster.anti_affinity().size(), false);
-    for (int s : subproblem.services) {
-      for (int k : cluster.RulesOfService(s)) {
-        if (!seen[k]) {
-          seen[k] = true;
-          active_rules.push_back(k);
-        }
-      }
-    }
-  }
-
-  const int E = static_cast<int>(subproblem.edges.size());
-  const long long rows = static_cast<long long>(S) + 1LL * R * G +
-                         1LL * static_cast<long long>(active_rules.size()) * G +
-                         2LL * E * G;
+  const std::vector<int> active_rules = ActiveRules(cluster, subproblem);
+  const long long rows = ModelRows(cluster, subproblem, active_rules.size(), G);
   if (rows > options.max_model_rows) {
     return ResourceExhaustedError(StrFormat(
         "grouped MIP needs %lld rows > cap %d", rows, options.max_model_rows));

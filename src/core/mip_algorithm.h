@@ -76,6 +76,12 @@ StatusOr<SubproblemMip> BuildSubproblemMip(const Cluster& cluster,
                                            const Placement& base,
                                            int max_model_rows);
 
+/// The row count BuildSubproblemMip checks against `max_model_rows`: the
+/// build fails exactly when this exceeds the cap. Depends only on the
+/// subproblem's shape and the cluster's rules, never on a placement.
+long long SubproblemMipRows(const Cluster& cluster,
+                            const Subproblem& subproblem);
+
 /// The MIP-based pool algorithm (§IV-C1): greedy warm start, then LP-based
 /// branch-and-bound until optimal or deadline. `base` holds the trivial
 /// residents and is NOT modified. Fails with kResourceExhausted when the

@@ -14,23 +14,29 @@ bool ShouldUsePop(const PopOptions& options, const Subproblem& subproblem) {
          static_cast<int>(subproblem.services.size()) > options.max_services;
 }
 
-StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
-    PoolAlgorithm algorithm, const Cluster& cluster,
-    const Subproblem& subproblem, const Placement& base,
-    const Placement& original, const Deadline& deadline, uint64_t seed,
-    const PopOptions& options, PoolAttemptStats* stats,
-    const Placement* mip_incumbent, PopStats* pop_stats) {
-  Stopwatch timer;
+namespace {
+
+// The seeded replica split RunPoolAlgorithmPop solves: the replicas with
+// their edges, one solver seed per replica, and the affinity cut between
+// replicas. Empty when the subproblem is solved directly (not oversized,
+// or nothing to split).
+struct PopSplit {
+  std::vector<Subproblem> replicas;
+  std::vector<uint64_t> seeds;
+  double cut_affinity = 0.0;
+};
+
+PopSplit SplitForPop(const Cluster& cluster, const Subproblem& subproblem,
+                     uint64_t seed, const PopOptions& options) {
+  PopSplit split;
   const int num_services = static_cast<int>(subproblem.services.size());
   const int num_machines = static_cast<int>(subproblem.machines.size());
+  if (!ShouldUsePop(options, subproblem) || num_services < 2 ||
+      num_machines < 2) {
+    return split;
+  }
   const int k = std::max(
       2, std::min({options.num_replicas, num_services, num_machines}));
-  if (!ShouldUsePop(options, subproblem) || num_services < 2 ||
-      num_machines < 2 || k < 2) {
-    // Not oversized, or nothing to split: solve directly.
-    return RunPoolAlgorithm(algorithm, cluster, subproblem, base, original,
-                            deadline, seed, stats, mip_incumbent);
-  }
 
   // Seeded split: shuffle, then deal round-robin. Services and machines use
   // one stream drawn in a fixed order, so the split depends on `seed` alone.
@@ -39,18 +45,18 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
   std::vector<int> machines = subproblem.machines;
   rng.Shuffle(services);
   rng.Shuffle(machines);
-  std::vector<uint64_t> replica_seeds(static_cast<size_t>(k));
-  for (int r = 0; r < k; ++r) replica_seeds[r] = rng.Next();
+  split.seeds.resize(static_cast<size_t>(k));
+  for (int r = 0; r < k; ++r) split.seeds[r] = rng.Next();
 
-  std::vector<Subproblem> replicas(static_cast<size_t>(k));
+  split.replicas.resize(static_cast<size_t>(k));
   for (int i = 0; i < num_services; ++i) {
-    replicas[i % k].services.push_back(services[i]);
+    split.replicas[i % k].services.push_back(services[i]);
   }
   for (int j = 0; j < num_machines; ++j) {
-    replicas[j % k].machines.push_back(machines[j]);
+    split.replicas[j % k].machines.push_back(machines[j]);
   }
   double internal_sum = 0.0;
-  for (Subproblem& replica : replicas) {
+  for (Subproblem& replica : split.replicas) {
     // Canonical order within a replica, matching the partitioner's output
     // shape (solvers index services/machines positionally either way, but
     // sorted ids keep logs and caches comparable).
@@ -59,11 +65,40 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
     PopulateSubproblemEdges(cluster, replica);
     internal_sum += replica.internal_affinity;
   }
-  if (pop_stats != nullptr) {
-    pop_stats->replicas = k;
-    pop_stats->cut_affinity =
-        std::max(0.0, subproblem.internal_affinity - internal_sum);
+  split.cut_affinity =
+      std::max(0.0, subproblem.internal_affinity - internal_sum);
+  return split;
+}
+
+}  // namespace
+
+bool PopAttemptFails(PoolAlgorithm algorithm, const Cluster& cluster,
+                     const Subproblem& subproblem, uint64_t seed,
+                     const PopOptions& options) {
+  const PopSplit split = SplitForPop(cluster, subproblem, seed, options);
+  if (split.replicas.empty()) {
+    return PoolAlgorithmFails(algorithm, cluster, subproblem);
   }
+  return std::any_of(split.replicas.begin(), split.replicas.end(),
+                     [&](const Subproblem& replica) {
+                       return PoolAlgorithmFails(algorithm, cluster, replica);
+                     });
+}
+
+StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
+    PoolAlgorithm algorithm, const Cluster& cluster,
+    const Subproblem& subproblem, const Placement& base,
+    const Placement& original, const Deadline& deadline, uint64_t seed,
+    const PopOptions& options, PoolAttemptStats* stats,
+    const Placement* mip_incumbent, PopStats* pop_stats) {
+  Stopwatch timer;
+  const PopSplit split = SplitForPop(cluster, subproblem, seed, options);
+  if (split.replicas.empty()) {
+    return RunPoolAlgorithm(algorithm, cluster, subproblem, base, original,
+                            deadline, seed, stats, mip_incumbent);
+  }
+  const int k = static_cast<int>(split.replicas.size());
+  if (pop_stats != nullptr) *pop_stats = {k, split.cut_affinity};
 
   // Solve replicas sequentially, splitting whatever wall-clock remains
   // evenly across the replicas still to run.
@@ -76,8 +111,8 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
             : deadline;
     PoolAttemptStats replica_stats;
     StatusOr<SubproblemSolution> solved = RunPoolAlgorithm(
-        algorithm, cluster, replicas[r], base, original, replica_deadline,
-        replica_seeds[r], &replica_stats, mip_incumbent);
+        algorithm, cluster, split.replicas[r], base, original,
+        replica_deadline, split.seeds[r], &replica_stats, mip_incumbent);
     if (!solved.ok()) {
       // One failed replica fails the attempt; the caller's degradation
       // ladder (secondary algorithm, then greedy) takes over.

@@ -64,6 +64,14 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
     const PopOptions& options, PoolAttemptStats* stats = nullptr,
     const Placement* mip_incumbent = nullptr, PopStats* pop_stats = nullptr);
 
+/// True iff RunPoolAlgorithmPop with the same algorithm, subproblem, seed
+/// and options returns an error, whatever the placements and deadline:
+/// the direct solve fails (PoolAlgorithmFails), or one replica of the same
+/// seeded split does.
+bool PopAttemptFails(PoolAlgorithm algorithm, const Cluster& cluster,
+                     const Subproblem& subproblem, uint64_t seed,
+                     const PopOptions& options);
+
 }  // namespace rasa
 
 #endif  // RASA_CORE_POP_H_

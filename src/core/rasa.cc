@@ -1,7 +1,6 @@
 #include "core/rasa.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -29,6 +28,10 @@ using Assignment = SubproblemSolution::Assignment;
 // only on (options.seed, subproblem id), never on scheduling order, so a
 // parallel run draws exactly the seeds a sequential run draws.
 constexpr uint64_t kStreamSalt = 0x9e3779b97f4a7c15ULL;
+
+// Per-run circuit breaker: after this many counted failures of one pool
+// algorithm, the ladder prunes it at every later canonical position.
+constexpr int kBreakerFailures = 3;
 
 // Thread-safe affinity-weighted split of the remaining global budget (the
 // deadline ledger). Every reservation reads the *shared* global deadline —
@@ -224,27 +227,27 @@ std::vector<PoolAlgorithm> SelectStage(const Cluster& cluster,
   return labels;
 }
 
-// One rung of a speculative subproblem solve.
+// One rung of a subproblem's ladder.
 struct AttemptRecord {
   PoolAlgorithm algorithm = PoolAlgorithm::kCg;
   uint64_t seed = 0;
-  bool expired = false;  // global budget was gone before the attempt
-  // Set iff a solver ran (unset and not expired: the advisory breaker
-  // pruned the rung).
-  std::optional<StatusOr<SubproblemSolution>> result;
+  // Planned by PlanLadder: kOk or kFailed for a rung that runs, kPruned,
+  // or kNotRun for an unneeded secondary. The worker overwrites it with
+  // kExpired when the global budget is gone, or with what the run returned.
+  AttemptOutcome outcome = AttemptOutcome::kNotRun;
+  std::optional<SubproblemSolution> solution;  // set iff the run returned one
   // Solver introspection, captured unconditionally (cheap out-params) and
   // consumed by the merge when it assembles the flight-recorder records.
   PoolAttemptStats stats;
   PopStats pop;  // the rung's replica split, on POP subproblems
 };
 
-// Everything a worker learned about one subproblem, merged later in
-// canonical order. Workers never touch the placement, the report, or the
-// ladder counters — those belong to the merge.
+// One subproblem's planned ladder and what the worker's solve made of it,
+// filed later in canonical order. Workers never touch the placement, the
+// report, or the ladder counters — those belong to the merge.
 struct SolveRecord {
   double budget = 0.0;   // primary budget share, seconds
-  double seconds = 0.0;  // wall-clock of the speculative solve
-  bool secondary_considered = false;  // worker reached the secondary rung
+  double seconds = 0.0;  // wall-clock of the worker's solve
   AttemptRecord primary;
   AttemptRecord secondary;
 };
@@ -259,33 +262,60 @@ struct SolveInputs {
   const Placement& warm_source;
 };
 
-// The secondary rung's budget: a fresh slice of whatever global budget
-// remains, half the primary's share.
-Deadline SecondaryDeadline(const Deadline& deadline, double budget) {
-  return deadline.ClampedToSeconds(std::max(0.02, 0.5 * budget));
-}
-
-// Runs one rung on `sp`. POP is the rung's strategy, not a branch of the
-// ladder: a subproblem over the POP threshold runs the same pool algorithm
-// through a replica split (a pure function of options and size, so the
-// merge's replay re-solves it identically).
-void RunRung(const SolveInputs& in, const Subproblem& sp,
-             const Deadline& deadline, AttemptRecord& rung) {
-  rung.result = RunPoolAlgorithmPop(
-      rung.algorithm, in.cluster, sp, in.plan.partition.base_placement,
-      in.warm_source, deadline, rung.seed, in.options.pop, &rung.stats,
-      in.plan.hint ? &*in.plan.hint : nullptr, &rung.pop);
-}
-
-// Speculative per-subproblem solves, fanned out across the pool. Shared
-// state is confined to the deadline ledger and the advisory failure flags;
-// everything else is per-record.
-std::vector<SolveRecord> SolveStage(const SolveInputs& in,
+// Plans every dirty subproblem's ladder in canonical order before any
+// solve starts: both rung seeds, and each rung's outcome on a run no
+// deadline cuts short. Whether a rung fails depends on no solve
+// (PopAttemptFails), so the circuit breaker is decided here, once.
+std::vector<SolveRecord> PlanLadder(const SolveInputs& in,
                                     const std::vector<PoolAlgorithm>& selected,
-                                    const std::vector<int>& order,
-                                    const Deadline& deadline,
-                                    ThreadPool* pool) {
-  const RasaOptions& options = in.options;
+                                    const std::vector<int>& order) {
+  const TraceSpan span("ladder");
+  const std::vector<Subproblem>& subproblems = in.plan.partition.subproblems;
+  std::vector<SolveRecord> records(order.size());
+  int failures[2] = {0, 0};
+  // Plans one rung on `sp`; true iff it is planned to return a solution.
+  auto plan_rung = [&](const Subproblem& sp, AttemptRecord& rung) {
+    int& failed = failures[static_cast<int>(rung.algorithm)];
+    if (failed >= kBreakerFailures) {
+      rung.outcome = AttemptOutcome::kPruned;
+    } else if (PopAttemptFails(rung.algorithm, in.cluster, sp, rung.seed,
+                               in.options.pop)) {
+      rung.outcome = AttemptOutcome::kFailed;
+      ++failed;
+    } else {
+      rung.outcome = AttemptOutcome::kOk;
+    }
+    return rung.outcome == AttemptOutcome::kOk;
+  };
+  for (size_t position = 0; position < order.size(); ++position) {
+    const int idx = order[position];
+    // Reused subproblems skip the solvers entirely — no RNG draws (streams
+    // are independent, so dirty solves draw the seeds a full run would).
+    if (in.plan.reuse[idx]) continue;
+    SolveRecord& rec = records[position];
+    // Per-subproblem RNG stream; both attempt seeds are drawn up front so
+    // they do not depend on which rungs actually run.
+    Rng sp_rng(in.options.seed ^
+               (kStreamSalt * (static_cast<uint64_t>(idx) + 1)));
+    rec.primary.seed = sp_rng.Next();
+    rec.secondary.seed = sp_rng.Next();
+    rec.primary.algorithm = selected[idx];
+    rec.secondary.algorithm = rec.primary.algorithm == PoolAlgorithm::kCg
+                                  ? PoolAlgorithm::kMip
+                                  : PoolAlgorithm::kCg;
+    // Rung 2, the other pool algorithm, only below a rung 1 that returns
+    // nothing.
+    const Subproblem& sp = subproblems[idx];
+    if (!plan_rung(sp, rec.primary)) plan_rung(sp, rec.secondary);
+  }
+  return records;
+}
+
+// Runs the planned rungs, fanned out across the pool. Shared state is
+// confined to the deadline ledger; everything else is per-record.
+void SolveStage(const SolveInputs& in, const std::vector<int>& order,
+                const Deadline& deadline, ThreadPool* pool,
+                std::vector<SolveRecord>& records) {
   const std::vector<Subproblem>& subproblems = in.plan.partition.subproblems;
   const int n = static_cast<int>(subproblems.size());
   // Reused subproblems consume no share of the deadline.
@@ -294,71 +324,47 @@ std::vector<SolveRecord> SolveStage(const SolveInputs& in,
     if (!in.plan.reuse[i]) total_affinity += subproblems[i].internal_affinity;
   }
   DeadlineLedger ledger(deadline, total_affinity, n);
-  std::vector<SolveRecord> records(n);
-
-  // failure_flags[a * n + p] == 1 iff the attempt of algorithm `a` at
-  // canonical position `p` ran and failed. The advisory breaker counts only
-  // positions *before* the asking one, so a flag it acts on is a failure
-  // the canonical replay is guaranteed to have seen too — pruning can skip
-  // wasted solver work but can never change the merged outcome.
-  std::vector<std::atomic<uint8_t>> failure_flags(
-      static_cast<size_t>(2 * std::max(1, n)));  // value-initialized: 0
-  auto advisory_breaker_open = [&](PoolAlgorithm algorithm, int position) {
-    if (options.circuit_breaker_failures <= 0) return false;
-    const int a = static_cast<int>(algorithm);
-    int failures = 0;
-    for (int p = 0; p < position; ++p) {
-      failures += failure_flags[static_cast<size_t>(a * n + p)].load(
-          std::memory_order_acquire);
-    }
-    return failures >= options.circuit_breaker_failures;
-  };
 
   // Per-subproblem spans name the solve span as their explicit parent:
   // workers run on pool threads whose thread-local span stacks are empty.
   const TraceSpan solve_span("solve");
   auto solve_one = [&](int position) {
     const int idx = order[position];
-    // Reused subproblems skip the solvers entirely — no RNG draws, no
-    // budget reservation (per-subproblem streams are independent, so the
-    // dirty solves still draw exactly the seeds a full run would).
     if (in.plan.reuse[idx]) return;
     const Subproblem& sp = subproblems[idx];
     SolveRecord& rec = records[position];
     TraceSpan sp_span(StrFormat("subproblem_%d", idx), solve_span.id());
     Stopwatch sp_timer;
-
-    // Per-subproblem RNG stream; both attempt seeds are drawn up front so
-    // they do not depend on which rungs actually run.
-    Rng sp_rng(options.seed ^
-               (kStreamSalt * (static_cast<uint64_t>(idx) + 1)));
-    rec.primary.seed = sp_rng.Next();
-    rec.secondary.seed = sp_rng.Next();
-    rec.primary.algorithm = selected[idx];
-    rec.secondary.algorithm = rec.primary.algorithm == PoolAlgorithm::kCg
-                                  ? PoolAlgorithm::kMip
-                                  : PoolAlgorithm::kCg;
     const Deadline sp_deadline =
         ledger.Reserve(sp.internal_affinity, &rec.budget);
 
+    // A rung that finds the global budget gone records kExpired whatever
+    // its plan (expired beats pruned); otherwise it starts iff planned to.
+    // POP is the rung's strategy, not a branch of the ladder: a subproblem
+    // over the POP threshold runs the same pool algorithm on a split.
     auto attempt = [&](AttemptRecord& rung, const Deadline& rung_deadline) {
-      rung.expired = deadline.Expired();
-      if (rung.expired || advisory_breaker_open(rung.algorithm, position)) {
+      if (deadline.Expired()) {
+        rung.outcome = AttemptOutcome::kExpired;
         return;
       }
-      RunRung(in, sp, rung_deadline, rung);
-      if (!rung.result->ok()) {
-        failure_flags[static_cast<size_t>(
-                          static_cast<int>(rung.algorithm) * n + position)]
-            .store(1, std::memory_order_release);
+      if (rung.outcome != AttemptOutcome::kOk &&
+          rung.outcome != AttemptOutcome::kFailed) {
+        return;
       }
+      StatusOr<SubproblemSolution> result = RunPoolAlgorithmPop(
+          rung.algorithm, in.cluster, sp, in.plan.partition.base_placement,
+          in.warm_source, rung_deadline, rung.seed, in.options.pop,
+          &rung.stats, in.plan.hint ? &*in.plan.hint : nullptr, &rung.pop);
+      rung.outcome =
+          result.ok() ? AttemptOutcome::kOk : AttemptOutcome::kFailed;
+      if (result.ok()) rung.solution = std::move(result).value();
     };
     attempt(rec.primary, sp_deadline);
-    const bool primary_ok = rec.primary.result && rec.primary.result->ok();
-    if (!primary_ok && options.try_secondary_algorithm) {
-      // Rung 2 of the ladder, speculatively: the other pool algorithm.
-      rec.secondary_considered = true;
-      attempt(rec.secondary, SecondaryDeadline(deadline, rec.budget));
+    if (!rec.primary.solution) {
+      // The secondary rung's budget: a fresh slice of whatever global
+      // budget remains, half the primary's share.
+      attempt(rec.secondary, deadline.ClampedToSeconds(
+                                 std::max(0.02, 0.5 * rec.budget)));
     }
     rec.seconds = sp_timer.ElapsedSeconds();
   };
@@ -368,18 +374,18 @@ std::vector<SolveRecord> SolveStage(const SolveInputs& in,
   } else {
     for (int position = 0; position < n; ++position) solve_one(position);
   }
-  return records;
 }
 
-// Translates a worker attempt into the ledger's SolveAttempt, using the
-// *replayed* ladder decision (`outcome`) so records are independent of
-// worker scheduling. Stats are attached only when the attempt's result is
-// the one the replay acted on.
-SolveAttempt MakeAttempt(const AttemptRecord& rung, AttemptOutcome outcome) {
+// Translates a rung into the ledger's SolveAttempt. Stats are attached
+// only when a solver ran; a rung the ladder never reached keeps the
+// default attempt.
+SolveAttempt MakeAttempt(const AttemptRecord& rung) {
   SolveAttempt attempt;
+  if (rung.outcome == AttemptOutcome::kNotRun) return attempt;
   attempt.algorithm = rung.algorithm;
-  attempt.outcome = outcome;
-  if (outcome == AttemptOutcome::kOk || outcome == AttemptOutcome::kFailed) {
+  attempt.outcome = rung.outcome;
+  if (rung.outcome == AttemptOutcome::kOk ||
+      rung.outcome == AttemptOutcome::kFailed) {
     attempt.seconds = rung.stats.seconds;
     attempt.has_cg = rung.stats.has_cg;
     attempt.cg = rung.stats.cg;
@@ -417,12 +423,11 @@ struct MergedSubproblem {
   CertificateTerm term;
 };
 
-// The merge's running state: the working placement, the per-service tally
-// of containers left for the global fallback, and the replayed breaker.
+// The merge's running state: the working placement and the per-service
+// tally of containers left for the global fallback.
 struct MergeState {
   Placement working;
   std::vector<int> unplaced;
-  int algorithm_failures[2] = {0, 0};
 };
 
 // A term at the trivial bound: every internal edge fully localized.
@@ -503,80 +508,36 @@ CertificateTerm SolvedTerm(int subproblem_idx, const Subproblem& sp,
   return term;
 }
 
-// A solved subproblem: replay the degradation ladder and the breaker over
-// the worker's speculative attempts in canonical order, then apply the
+// A solved subproblem: file the rungs the worker ran, then apply the
 // winning rung's assignments (or the affinity greedy's).
-MergedSubproblem MergeSolved(const SolveInputs& in, const Deadline& deadline,
-                             int idx, SolveRecord& rec, MergeState& state,
+MergedSubproblem MergeSolved(const SolveInputs& in, int idx,
+                             const SolveRecord& rec, MergeState& state,
                              RasaResult& result) {
-  const RasaOptions& options = in.options;
   const Subproblem& sp = in.plan.partition.subproblems[idx];
-  AttemptRecord& primary = rec.primary;
-  AttemptRecord& secondary = rec.secondary;
+  const AttemptRecord& primary = rec.primary;
+  const AttemptRecord& secondary = rec.secondary;
   MergedSubproblem m;
   m.algorithm = primary.algorithm;
   m.budget_seconds = rec.budget;
   m.seconds = rec.seconds;
-  auto breaker_open = [&](PoolAlgorithm algorithm) {
-    return options.circuit_breaker_failures > 0 &&
-           state.algorithm_failures[static_cast<int>(algorithm)] >=
-               options.circuit_breaker_failures;
-  };
-  // Settles a rung that ran: its solution, or a counted failure.
-  auto settle = [&](const AttemptRecord& rung,
-                    SolveAttempt& record) -> const SubproblemSolution* {
-    if (rung.result->ok()) {
-      record = MakeAttempt(rung, AttemptOutcome::kOk);
-      return &rung.result->value();
-    }
-    ++state.algorithm_failures[static_cast<int>(rung.algorithm)];
-    ++result.solver_failures;
-    record = MakeAttempt(rung, AttemptOutcome::kFailed);
-    return nullptr;
-  };
-
-  // Rung 1: the selected algorithm. An expired rung counts nothing
-  // (matches the sequential ladder); an advisory prune implies the replayed
-  // breaker is open here too.
-  const SubproblemSolution* solution = nullptr;
-  if (primary.expired) {
-    m.primary = MakeAttempt(primary, AttemptOutcome::kExpired);
-  } else if (breaker_open(primary.algorithm) || !primary.result) {
-    ++result.breaker_skips;
-    m.primary = MakeAttempt(primary, AttemptOutcome::kPruned);
-  } else {
-    solution = settle(primary, m.primary);
+  m.primary = MakeAttempt(primary);
+  m.secondary = MakeAttempt(secondary);
+  if (primary.outcome == AttemptOutcome::kPruned) ++result.breaker_skips;
+  for (const AttemptRecord* rung : {&primary, &secondary}) {
+    if (rung->outcome == AttemptOutcome::kFailed) ++result.solver_failures;
   }
 
-  // Rung 2: the other pool algorithm.
-  if (solution == nullptr && options.try_secondary_algorithm) {
-    if (breaker_open(secondary.algorithm)) {
-      m.secondary = MakeAttempt(secondary, AttemptOutcome::kPruned);
-    } else {
-      if (!rec.secondary_considered && !deadline.Expired()) {
-        // The worker saw its primary succeed, but the replayed breaker
-        // discarded it (the breaker opened later in wall-clock, earlier in
-        // canonical order). Solve the rung now, with the pre-assigned seed
-        // and the same budget slice a sequential run would use.
-        RunRung(in, sp, SecondaryDeadline(deadline, rec.budget), secondary);
-      }
-      // A rung the worker pruned stays kNotRun: the sequential ladder
-      // would have skipped it too.
-      if (secondary.result) {
-        solution = settle(secondary, m.secondary);
-        if (solution != nullptr) {
-          RASA_LOG(Info) << "subproblem " << idx << ": "
-                         << PoolAlgorithmToString(primary.algorithm)
-                         << " failed, "
-                         << PoolAlgorithmToString(secondary.algorithm)
-                         << " rescued it";
-          m.used_secondary = true;
-          ++result.secondary_successes;
-        }
-      } else if (secondary.expired) {
-        m.secondary = MakeAttempt(secondary, AttemptOutcome::kExpired);
-      }
-    }
+  const SubproblemSolution* solution = nullptr;
+  if (primary.solution) {
+    solution = &*primary.solution;
+  } else if (secondary.solution) {
+    solution = &*secondary.solution;
+    RASA_LOG(Info) << "subproblem " << idx << ": "
+                   << PoolAlgorithmToString(primary.algorithm) << " failed, "
+                   << PoolAlgorithmToString(secondary.algorithm)
+                   << " rescued it";
+    m.used_secondary = true;
+    ++result.secondary_successes;
   }
 
   if (solution == nullptr) {
@@ -601,7 +562,7 @@ MergedSubproblem MergeSolved(const SolveInputs& in, const Deadline& deadline,
   m.merge_unplaced = TallyUnplaced(in.cluster, sp, m.landed, state.unplaced);
   m.ladder_rung = m.fell_to_greedy ? 2 : (m.used_secondary ? 1 : 0);
   m.term = SolvedTerm(idx, sp, m);
-  if (ShouldUsePop(options.pop, sp) && !m.fell_to_greedy) {
+  if (ShouldUsePop(in.options.pop, sp) && !m.fell_to_greedy) {
     m.pop = m.used_secondary ? &secondary.pop : &primary.pop;
     // A POP union is a heuristic over an unseen edge cut — mark its term so
     // gap consumers can attribute looseness to the split (the bound itself
@@ -680,13 +641,12 @@ void RecordSubproblem(const Subproblem& sp, int idx, int position,
   result.report.certificate.terms.push_back(std::move(m.term));
 }
 
-// Merges the subproblems in canonical order. The degradation ladder, the
-// breaker, and the counters are *replayed* here single-threaded, so the
+// Merges the subproblems in canonical order, single-threaded, so the
 // merged placement and every counter are independent of worker scheduling.
 MergeState MergeStage(const SolveInputs& in, SelectorPolicy policy,
-                      const std::vector<int>& order, const Deadline& deadline,
-                      std::vector<SolveRecord>& records, RasaResult& result,
-                      IncrementalState* out_state) {
+                      const std::vector<int>& order,
+                      const std::vector<SolveRecord>& records,
+                      RasaResult& result, IncrementalState* out_state) {
   const TraceSpan span("merge");
   const DeltaPlan& plan = in.plan;
   MergeState state;
@@ -701,7 +661,7 @@ MergeState MergeStage(const SolveInputs& in, SelectorPolicy policy,
     MergedSubproblem m =
         plan.reuse[idx]
             ? MergeReused(in.cluster, plan, idx, state)
-            : MergeSolved(in, deadline, idx, records[position], state, result);
+            : MergeSolved(in, idx, records[position], state, result);
     RecordSubproblem(plan.partition.subproblems[idx], idx, position, policy,
                      m, result, out_state);
   }
@@ -915,10 +875,10 @@ StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
                        plan.hint ? *plan.hint : current};
   const std::vector<PoolAlgorithm> selected =
       SelectStage(cluster, plan, selector_, pool);
-  std::vector<SolveRecord> records =
-      SolveStage(in, selected, order, deadline, pool);
-  MergeState merged = MergeStage(in, selector_.policy(), order, deadline,
-                                 records, result, out_state);
+  std::vector<SolveRecord> records = PlanLadder(in, selected, order);
+  SolveStage(in, order, deadline, pool, records);
+  MergeState merged =
+      MergeStage(in, selector_.policy(), order, records, result, out_state);
   if (out_state != nullptr) CaptureDeltaState(cluster, partition, out_state);
 
   // Attribution waterfall: the trivial residents the partition kept in

@@ -33,14 +33,6 @@ struct RasaOptions {
   /// hill-climbing container moves/swaps with whatever global budget
   /// remains. Off by default to keep the paper-faithful pipeline.
   bool refine_with_local_search = false;
-  /// Degradation ladder: when the selected pool algorithm fails on a
-  /// subproblem, try the *other* pool algorithm before dropping to the
-  /// affinity greedy.
-  bool try_secondary_algorithm = true;
-  /// Per-algorithm circuit breaker: after this many failures within one
-  /// Optimize run the algorithm is skipped for the remaining subproblems
-  /// (0 disables the breaker).
-  int circuit_breaker_failures = 3;
   /// Worker threads for the per-subproblem solves and batch selector
   /// inference: 1 = sequential (default), 0 = one per hardware thread,
   /// n > 1 = a pool of n. Every subproblem gets its own RNG stream and
@@ -109,7 +101,7 @@ struct RasaResult {
   int solver_failures = 0;      // pool-algorithm attempts that failed
   int secondary_successes = 0;  // rescued by the other pool algorithm
   int greedy_fallbacks = 0;     // bottom of the ladder
-  int breaker_skips = 0;        // attempts skipped by an open breaker
+  int breaker_skips = 0;        // primary attempts the breaker pruned
   int pop_splits = 0;           // subproblems solved via POP replica split
   /// Sum of pop_quality_loss over POP-solved subproblems.
   double pop_quality_loss = 0.0;

@@ -15,7 +15,7 @@ enum class AttemptOutcome {
   kOk,       // solver returned a solution
   kFailed,   // solver ran and failed (OOT / infeasible model / error)
   kExpired,  // global budget was gone before the attempt
-  kPruned,   // skipped by an open circuit breaker
+  kPruned,   // planned away by an open circuit breaker; never started
 };
 
 const char* AttemptOutcomeToString(AttemptOutcome outcome);
@@ -50,11 +50,10 @@ struct LedgerRecord {
   SelectorPolicy selector_policy = SelectorPolicy::kHeuristic;
   PoolAlgorithm selected = PoolAlgorithm::kCg;
 
-  /// Ladder rungs in order, as the canonical replay decided them (a rung
-  /// the replayed breaker skipped records kPruned even if a worker ran it
-  /// speculatively, so the sequence is scheduling-independent). The rare
-  /// merge-phase secondary re-solve (advisory breaker diverged from the
-  /// replayed one) lands in `secondary` like any other secondary attempt.
+  /// Ladder rungs in order, as planned before the solve and run by the
+  /// worker: a kPruned rung was never started and carries no stats, and
+  /// each kOk or kFailed rung is exactly one solver run, so the sequence
+  /// is scheduling-independent.
   SolveAttempt primary;
   SolveAttempt secondary;
 
@@ -69,7 +68,7 @@ struct LedgerRecord {
   bool reused = false;
 
   double budget_seconds = 0.0;  // primary's reserved budget share
-  double seconds = 0.0;         // wall-clock of the speculative solve
+  double seconds = 0.0;         // wall-clock of the subproblem's solve
 
   /// What the winning rung realized inside the subproblem.
   double realized_affinity = 0.0;

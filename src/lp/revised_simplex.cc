@@ -18,6 +18,9 @@ constexpr double kPivotTol = 1e-9;
 // A pivot below this is too small to append as an eta update; the basis is
 // refactorized (with full partial pivoting) instead.
 constexpr double kUpdateTol = 1e-7;
+// Eta updates accumulated on top of a fresh factorization before the next
+// periodic refactorization.
+constexpr int kRefactorInterval = 64;
 // Partial pricing engages only above this many priced columns; below it a
 // full Dantzig sweep costs the same and keeps pivot sequences aligned with
 // the dense tableau on the small models the test suites pin down.
@@ -276,7 +279,7 @@ bool RevisedSimplex::RefactorizeNow() {
 }
 
 bool RevisedSimplex::UpdateOrRefactorize(int position) {
-  if (fact_.eta_count() - m_ < options_.refactor_interval &&
+  if (fact_.eta_count() - m_ < kRefactorInterval &&
       fact_.Update(position, kUpdateTol)) {
     max_eta_length_ = std::max(max_eta_length_, fact_.eta_count());
     return true;

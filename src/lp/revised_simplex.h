@@ -10,9 +10,9 @@ namespace rasa {
 /// basis inverse held as an eta-file product-form factorization
 /// (linalg/sparse.h) instead of an explicit dense matrix. Per pivot it
 /// does one BTRAN (duals), a sparse pricing sweep, one FTRAN (entering
-/// column) and a single eta append; the factorization is rebuilt every
-/// `LpOptions::refactor_interval` updates or earlier when a pivot element
-/// is too small to update on safely.
+/// column) and a single eta append; the factorization is rebuilt every 64
+/// updates or earlier when a pivot element is too small to update on
+/// safely.
 ///
 /// Warm starts (LpOptions::warm_basis): the basis is validated against the
 /// current model, bound changes are absorbed by coercing nonbasic columns

@@ -527,25 +527,12 @@ LpResult Simplex::Solve() {
 
 }  // namespace
 
-const char* LpAlgorithmToString(LpAlgorithm algorithm) {
-  switch (algorithm) {
-    case LpAlgorithm::kRevised:
-      return "revised";
-    case LpAlgorithm::kDenseTableau:
-      return "dense_tableau";
-  }
-  return "unknown";
-}
-
 LpResult SolveLpDenseTableau(const LpModel& model, const LpOptions& options) {
   Simplex solver(model, options);
   return solver.Solve();
 }
 
 LpResult SolveLp(const LpModel& model, const LpOptions& options) {
-  if (options.algorithm == LpAlgorithm::kDenseTableau) {
-    return SolveLpDenseTableau(model, options);
-  }
   if (options.dense_size_cutoff > 0 &&
       model.num_constraints() <= options.dense_size_cutoff &&
       model.num_variables() <= 2 * options.dense_size_cutoff) {

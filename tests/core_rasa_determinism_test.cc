@@ -13,8 +13,10 @@
 
 #include "cluster/generator.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "core/objective.h"
 #include "core/rasa.h"
+#include "core/solve_ledger.h"
 #include "gtest/gtest.h"
 #include "rasa_test_util.h"
 #include "sim/workflow.h"
@@ -147,6 +149,53 @@ TEST(RasaDeterminismTest, AllThreadCountsAgree) {
   for (int threads : {2, 3, 8}) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
     ExpectIdenticalResults(seq, RunOptimize(snapshot, options, threads));
+  }
+}
+
+// The ladder is planned before the solve, so no thread count runs a rung
+// it then discards. On a cluster where every subproblem is labelled MIP,
+// the three largest exceed the MIP row cap and the breaker then prunes MIP:
+// every pool-algorithm run the metrics count is a ledger attempt that ran
+// (ok or failed), and no pruned attempt carries solver stats.
+TEST(RasaDeterminismTest, LadderRunsNoDiscardedSolve) {
+  const ClusterSnapshot snapshot = testing::MakeSnapshot(M4Spec(16.0), 5);
+  RasaOptions options;
+  options.timeout_seconds = 60.0;
+  options.partitioning.max_subproblem_services = 32;
+  options.seed = 17;
+  MetricRegistry& reg = MetricRegistry::Default();
+  auto picks = [&reg] {
+    return reg.GetCounter("pool.cg_picks").Value() +
+           reg.GetCounter("pool.mip_picks").Value();
+  };
+  for (int threads : {1, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    options.num_threads = threads;
+    const RasaOptimizer optimizer(
+        options, AlgorithmSelector(SelectorPolicy::kAlwaysMip));
+    const uint64_t picks_before = picks();
+    StatusOr<RasaResult> r = optimizer.Optimize(*snapshot.cluster,
+                                                snapshot.original_placement);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const uint64_t runs = picks() - picks_before;
+    uint64_t ran = 0;
+    int pruned = 0;
+    for (const LedgerRecord& rec : r->report.records) {
+      for (const SolveAttempt* attempt : {&rec.primary, &rec.secondary}) {
+        if (attempt->outcome == AttemptOutcome::kOk ||
+            attempt->outcome == AttemptOutcome::kFailed) {
+          ++ran;
+        } else if (attempt->outcome == AttemptOutcome::kPruned) {
+          ++pruned;
+          EXPECT_EQ(attempt->seconds, 0.0);
+          EXPECT_FALSE(attempt->has_cg);
+          EXPECT_FALSE(attempt->has_mip);
+        }
+      }
+    }
+    EXPECT_GT(r->solver_failures, 0);
+    EXPECT_GT(pruned, 0);
+    EXPECT_EQ(runs, ran);
   }
 }
 

@@ -99,6 +99,53 @@ TEST(PopSplitTest, UnionIsCapacitySoundAndRepriced) {
 }
 
 // Replica splits are a pure function of the seed.
+// The ladder is planned from PopAttemptFails, so it must agree with the run
+// it predicts, solved directly and through a POP split. Two partitions of
+// a cluster whose largest MIP models exceed the row cap cover both ways a
+// split can go: every replica fits (32-service subproblems), or one does
+// not (96-service subproblems).
+TEST(PopSplitTest, AttemptFailsPredictsTheRun) {
+  const ClusterSnapshot snapshot = testing::MakeSnapshot(M4Spec(16.0), 5);
+  PopOptions split;
+  split.max_services = 12;
+  int split_fits = 0;    // direct MIP over the cap, every replica under it
+  int split_fails = 0;   // a replica over the cap
+  for (int max_services : {32, 96}) {
+    PartitioningOptions partitioning;
+    partitioning.max_subproblem_services = max_services;
+    const PartitionResult partition = PartitionServices(
+        *snapshot.cluster, snapshot.original_placement, partitioning);
+    for (const Subproblem& sp : partition.subproblems) {
+      for (PoolAlgorithm algorithm :
+           {PoolAlgorithm::kCg, PoolAlgorithm::kMip}) {
+        bool failed[2];
+        for (int i = 0; i < 2; ++i) {
+          const PopOptions options = i == 0 ? PopOptions() : split;
+          const uint64_t seed = 7 + sp.services.size();
+          // An expired deadline keeps each solve to its warm start; the
+          // row-cap failure comes before any solve.
+          failed[i] = !RunPoolAlgorithmPop(
+                           algorithm, *snapshot.cluster, sp,
+                           partition.base_placement,
+                           snapshot.original_placement,
+                           Deadline::AfterSeconds(0.0), seed, options)
+                           .ok();
+          EXPECT_EQ(PopAttemptFails(algorithm, *snapshot.cluster, sp, seed,
+                                    options),
+                    failed[i])
+              << PoolAlgorithmToString(algorithm) << " on "
+              << sp.services.size() << " services, POP threshold "
+              << options.max_services;
+        }
+        split_fits += failed[0] && !failed[1];
+        split_fails += failed[1];
+      }
+    }
+  }
+  EXPECT_GT(split_fits, 0);
+  EXPECT_GT(split_fails, 0);
+}
+
 TEST(PopSplitTest, DeterministicForFixedSeed) {
   ClusterSnapshot snapshot = MakeCluster(11);
 

@@ -107,14 +107,8 @@ LpModel RandomModel(uint64_t seed) {
 }
 
 void CompareOnce(const LpModel& model, uint64_t seed) {
-  LpOptions dense_opts;
-  dense_opts.algorithm = LpAlgorithm::kDenseTableau;
-  const LpResult dense = SolveLp(model, dense_opts);
-
-  LpOptions revised_opts;
-  revised_opts.algorithm = LpAlgorithm::kRevised;
-  revised_opts.dense_size_cutoff = 0;  // force the factorized kernel
-  const LpResult revised = SolveLp(model, revised_opts);
+  const LpResult dense = SolveLpDenseTableau(model);
+  const LpResult revised = SolveLpRevised(model);
 
   ASSERT_EQ(dense.status, revised.status)
       << "seed " << seed << ": dense " << LpStatusToString(dense.status)
