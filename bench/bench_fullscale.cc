@@ -10,7 +10,8 @@
 // partitioner ceiling) so oversized subproblems exercise the split; each
 // phase row reports peak RSS so far, and the optimize row reports the POP
 // quality loss measured against the optimality-gap certificate (whose
-// terms stay at the trivial bound with source "pop").
+// terms stay at the trivial bound with source "pop"). The migrate row times
+// Algorithm 2's path to the optimized placement and its validation.
 //
 // Environment knobs (on top of the usual bench_util ones):
 //   RASA_BENCH_SCALE         downscale divisor, DEFAULT 1 here (paper size)
@@ -29,6 +30,7 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
+#include "core/migration.h"
 #include "core/partitioning.h"
 #include "core/rasa.h"
 
@@ -183,6 +185,37 @@ int main() {
       .Field("pop_splits", result->pop_splits)
       .Field("pop_quality_loss", result->pop_quality_loss)
       .Field("certificate_gap", result->report.certificate.Gap())
+      .Field("peak_rss_mb", PeakRssMb());
+
+  // --- Phase 4: migration path (Algorithm 2) to the optimized placement,
+  // replayed batch by batch by the validator ------------------------------
+  Stopwatch path_timer;
+  StatusOr<MigrationPlan> plan =
+      ComputeMigrationPath(cluster, snapshot->original_placement,
+                           result->new_placement, options.migration);
+  const double path_seconds = path_timer.ElapsedSeconds();
+  RASA_CHECK(plan.ok()) << plan.status().ToString();
+  Stopwatch validate_timer;
+  const Status valid = ValidateMigrationPlan(
+      cluster, snapshot->original_placement, result->new_placement, *plan,
+      options.migration.min_alive_fraction);
+  const double validate_seconds = validate_timer.ElapsedSeconds();
+  RASA_CHECK(valid.ok()) << valid.ToString();
+  int commands = 0;
+  for (const std::vector<MigrationCommand>& batch : plan->batches) {
+    commands += static_cast<int>(batch.size());
+  }
+  std::printf("migrate: %zu batches, %d commands; path %.3fs, validation "
+              "%.3fs (peak RSS %.0f MiB)\n",
+              plan->batches.size(), commands, path_seconds, validate_seconds,
+              PeakRssMb());
+  json.BeginRow()
+      .Field("phase", "migrate")
+      .Field("scale", static_cast<int>(scale))
+      .Field("batches", static_cast<int>(plan->batches.size()))
+      .Field("commands", commands)
+      .Field("seconds", path_seconds)
+      .Field("validate_seconds", validate_seconds)
       .Field("peak_rss_mb", PeakRssMb());
 
   const double peak = PeakRssMb();

@@ -99,12 +99,21 @@ Status Placement::CheckMachineFeasible(int m) const {
           StrFormat("machine %d cannot host service %d", m, s));
     }
   }
-  for (size_t k = 0; k < cluster_->anti_affinity().size(); ++k) {
+  // Only rules with a member on the machine can be violated (limits are
+  // non-negative); ascending ids name the violation a full scan would.
+  std::vector<int> rules;
+  for (const auto& [s, count] : by_machine_[m]) {
+    const std::vector<int>& of_service = cluster_->RulesOfService(s);
+    rules.insert(rules.end(), of_service.begin(), of_service.end());
+  }
+  std::sort(rules.begin(), rules.end());
+  rules.erase(std::unique(rules.begin(), rules.end()), rules.end());
+  for (int k : rules) {
     const AntiAffinityRule& rule = cluster_->anti_affinity()[k];
-    if (RuleCount(m, static_cast<int>(k)) > rule.max_per_machine) {
+    if (RuleCount(m, k) > rule.max_per_machine) {
       return FailedPreconditionError(StrFormat(
-          "machine %d violates anti-affinity rule %zu (%d > %d)", m, k,
-          RuleCount(m, static_cast<int>(k)), rule.max_per_machine));
+          "machine %d violates anti-affinity rule %d (%d > %d)", m, k,
+          RuleCount(m, k), rule.max_per_machine));
     }
   }
   return Status::OK();

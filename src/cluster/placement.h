@@ -63,7 +63,10 @@ class Placement {
   /// With `check_sla`, also verifies TotalOf(s) == demand for all services.
   Status CheckFeasible(bool check_sla = true) const;
   /// CheckFeasible's audit of one machine: its resources, the services it
-  /// hosts, and every anti-affinity rule.
+  /// hosts, and the anti-affinity rules of those services in ascending rule
+  /// id. Requires a cluster that passes Cluster::Validate: with no negative
+  /// limit, a rule with no member on the machine cannot be violated, so the
+  /// first violation named is the one a scan of every rule would name.
   Status CheckMachineFeasible(int machine) const;
 
   /// Number of containers whose (service, machine) assignment differs from

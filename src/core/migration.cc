@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/logging.h"
 #include "common/strings.h"
 
 namespace rasa {
@@ -15,19 +16,53 @@ std::string MigrationPlan::Summary() const {
 
 namespace {
 
-// Containers of `service` that must leave `machine`: positive part of
-// (current - target).
-int SurplusOn(const Placement& current, const Placement& target, int machine,
-              int service) {
-  return std::max(0, current.CountOn(machine, service) -
-                         target.CountOn(machine, service));
-}
+// Rank that keeps an entry out of a WalkBatch pick.
+constexpr double kSkip = -HUGE_VAL;
 
-// Containers of `service` still to be created on `machine`.
-int DeficitOn(const Placement& current, const Placement& target, int machine,
-              int service) {
-  return std::max(0, target.CountOn(machine, service) -
-                         current.CountOn(machine, service));
+// Containers of `service` that must still leave (surplus side) or still
+// reach (deficit side) `machine`. Each side of the diff between the current
+// and the target placement is one flat array sorted by (machine, service).
+struct DiffEntry {
+  int machine;
+  int service;
+  int count;
+};
+
+// One batch of `type`: each machine in `diff` takes one container of the
+// service `rank(machine, service)` puts highest above `floor` (ties keep the
+// lower service) and reports it to `take(machine, service)`; exhausted
+// entries drop out. A create lands only where current < target and a delete
+// only where current > target, so neither side of the diff grows: the walk
+// visits exactly the pairs a scan of every machine would pick from, in the
+// same order.
+template <typename Rank, typename Take>
+std::vector<MigrationCommand> WalkBatch(std::vector<DiffEntry>& diff,
+                                        MigrationCommandType type,
+                                        double floor, Rank rank, Take take) {
+  std::vector<MigrationCommand> batch;
+  size_t kept = 0;
+  for (size_t begin = 0, end = 0; begin < diff.size(); begin = end) {
+    const int m = diff[begin].machine;
+    DiffEntry* pick = nullptr;
+    double best = floor;
+    for (end = begin; end < diff.size() && diff[end].machine == m; ++end) {
+      const double r = rank(m, diff[end].service);
+      if (r > best) {
+        best = r;
+        pick = &diff[end];
+      }
+    }
+    if (pick != nullptr) {
+      batch.push_back({type, pick->service, m});
+      take(m, pick->service);
+      --pick->count;
+    }
+    for (size_t i = begin; i < end; ++i) {
+      if (diff[i].count > 0) diff[kept++] = diff[i];
+    }
+  }
+  diff.resize(kept);
+  return batch;
 }
 
 }  // namespace
@@ -47,22 +82,25 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
   MigrationPlan plan;
   Placement current = original;
   const int N = cluster.num_services();
-  const int M = cluster.num_machines();
 
   // offline[s]: containers of s deleted and not yet recreated.
   std::vector<int> offline(N, 0);
   // How many creations each service still owes (bounded by the matched
   // delete/create volume; excess deletes are stranded to the final batch).
-  // A surplus sits only where `current` has containers, a deficit only
-  // where `target` has them.
   std::vector<int> pending_creates(N, 0);
-  std::vector<int> pending_deletes(N, 0);
-  for (int s = 0; s < N; ++s) {
-    for (const auto& [m, count] : current.MachinesOf(s)) {
-      pending_deletes[s] += SurplusOn(current, target, m, s);
+  std::vector<DiffEntry> surplus;
+  std::vector<DiffEntry> deficit;
+  for (int m = 0; m < cluster.num_machines(); ++m) {
+    for (const auto& [s, count] : current.ServicesOn(m)) {
+      const int extra = count - target.CountOn(m, s);
+      if (extra > 0) surplus.push_back({m, s, extra});
     }
-    for (const auto& [m, count] : target.MachinesOf(s)) {
-      pending_creates[s] += DeficitOn(current, target, m, s);
+    for (const auto& [s, count] : target.ServicesOn(m)) {
+      const int missing = count - current.CountOn(m, s);
+      if (missing > 0) {
+        deficit.push_back({m, s, missing});
+        pending_creates[s] += missing;
+      }
     }
   }
 
@@ -72,70 +110,44 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
     return MinAliveFloor(cluster.service(s).demand,
                          options.min_alive_fraction);
   };
-  auto alive = [&](int s) { return current.TotalOf(s); };
+  auto offline_ratio = [&](int s) {
+    const int d = cluster.service(s).demand;
+    return d > 0 ? static_cast<double>(offline[s]) / d : 0.0;
+  };
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     // ---- Delete set: at most one container per machine. Deletes in one
-    // batch execute in parallel, so SLA accounting must include the picks
-    // already made for other machines in this batch.
-    std::vector<MigrationCommand> deletes;
-    std::vector<int> batch_deletes(N, 0);
-    for (int m = 0; m < M; ++m) {
-      int pick = -1;
-      double pick_ratio = 2.0;
-      for (const auto& [s, count] : current.ServicesOn(m)) {
-        (void)count;
-        if (SurplusOn(current, target, m, s) <= 0) continue;
-        // Only delete what will be recreated now; stranded surplus waits
-        // for the final batch.
-        if (pending_creates[s] <= offline[s] + batch_deletes[s]) continue;
-        if (alive(s) - batch_deletes[s] - 1 < min_alive(s)) continue;  // SLA
-        const int d = cluster.service(s).demand;
-        const double ratio =
-            d > 0 ? static_cast<double>(offline[s] + batch_deletes[s]) / d
-                  : 0.0;
-        // SelectDelete: lowest offline ratio.
-        if (ratio < pick_ratio || (ratio == pick_ratio && s < pick)) {
-          pick_ratio = ratio;
-          pick = s;
-        }
-      }
-      if (pick >= 0) {
-        deletes.push_back({MigrationCommandType::kDelete, pick, m});
-        ++batch_deletes[pick];
-      }
-    }
+    // batch execute in parallel, so each pick is applied at once and the SLA
+    // accounting of later machines includes it.
+    std::vector<MigrationCommand> deletes = WalkBatch(
+        surplus, MigrationCommandType::kDelete, /*floor=*/-2.0,
+        [&](int, int s) {
+          // Only delete what will be recreated now; stranded surplus waits
+          // for the final batch.
+          if (pending_creates[s] <= offline[s]) return kSkip;
+          if (current.TotalOf(s) - 1 < min_alive(s)) return kSkip;  // SLA
+          return -offline_ratio(s);  // SelectDelete: lowest offline ratio.
+        },
+        [&](int m, int s) {
+          RASA_CHECK(current.Remove(m, s).ok());
+          ++offline[s];
+        });
     const bool deleted_this_round = !deletes.empty();
-    for (const MigrationCommand& cmd : deletes) {
-      RASA_RETURN_IF_ERROR(current.Remove(cmd.machine, cmd.service));
-      ++offline[cmd.service];
-      --pending_deletes[cmd.service];
-    }
     if (!deletes.empty()) {
       plan.total_deletes += static_cast<int>(deletes.size());
       plan.batches.push_back(std::move(deletes));
     }
 
-    // ---- Create set: at most one container per machine ----
-    std::vector<MigrationCommand> creates;
-    for (int m = 0; m < M; ++m) {
-      int pick = -1;
-      double pick_ratio = -1.0;
-      for (const auto& [s, count] : target.ServicesOn(m)) {
-        (void)count;
-        if (DeficitOn(current, target, m, s) <= 0) continue;
-        if (offline[s] <= 0) continue;            // must be deleted first
-        if (!current.CanPlace(m, s)) continue;    // resources must fit now
-        const int d = cluster.service(s).demand;
-        const double ratio = d > 0 ? static_cast<double>(offline[s]) / d : 0.0;
-        // SelectCreate: highest offline ratio.
-        if (ratio > pick_ratio || (ratio == pick_ratio && s < pick)) {
-          pick_ratio = ratio;
-          pick = s;
-        }
-      }
-      if (pick >= 0) creates.push_back({MigrationCommandType::kCreate, pick, m});
-    }
+    // ---- Create set: at most one container per machine. Offline counts
+    // move only once the whole set is picked.
+    std::vector<MigrationCommand> creates = WalkBatch(
+        deficit, MigrationCommandType::kCreate, /*floor=*/-1.0,
+        [&](int m, int s) {
+          if (offline[s] <= 0) return kSkip;          // must be deleted first
+          if (!current.CanPlace(m, s)) return kSkip;  // resources must fit now
+          return offline_ratio(s);  // SelectCreate: highest offline ratio.
+        },
+        [](int, int) {});
     for (const MigrationCommand& cmd : creates) {
       current.Add(cmd.machine, cmd.service);
       --offline[cmd.service];
@@ -147,12 +159,8 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
       plan.batches.push_back(std::move(creates));
     }
 
-    // Done with the matched moves?
-    bool pending = false;
-    for (int s = 0; s < N; ++s) {
-      if (pending_creates[s] > 0) pending = true;
-    }
-    if (!pending) break;
+    // Done with the matched moves? The deficit left is what is pending.
+    if (deficit.empty()) break;
     if (!progressed && !deleted_this_round) {
       return InternalError("migration path deadlocked before completion");
     }
@@ -168,20 +176,12 @@ StatusOr<MigrationPlan> ComputeMigrationPath(const Cluster& cluster,
     }
   }
 
-  // Final batch: stranded deletes (target deploys fewer containers).
+  // Final batch: stranded deletes (target deploys fewer containers), the
+  // surplus left over in (machine, service) order.
   std::vector<MigrationCommand> stranded;
-  for (int m = 0; m < M; ++m) {
-    std::vector<std::pair<int, int>> to_delete;
-    for (const auto& [s, count] : current.ServicesOn(m)) {
-      const int surplus = SurplusOn(current, target, m, s);
-      if (surplus > 0) to_delete.push_back({s, surplus});
-    }
-    for (const auto& [s, surplus] : to_delete) {
-      for (int c = 0; c < surplus; ++c) {
-        stranded.push_back({MigrationCommandType::kDelete, s, m});
-      }
-      RASA_RETURN_IF_ERROR(current.Remove(m, s, surplus));
-    }
+  for (const DiffEntry& e : surplus) {
+    stranded.insert(stranded.end(), e.count,
+                    {MigrationCommandType::kDelete, e.service, e.machine});
   }
   if (!stranded.empty()) {
     plan.stranded_deletes = static_cast<int>(stranded.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -52,9 +53,16 @@ void AdjustTargetForUnavailable(const Cluster& cluster, const Placement& live,
                                 MigrationExecutionReport& report) {
   for (int m = 0; m < cluster.num_machines(); ++m) {
     if (actions.Available(m)) continue;
-    // Snapshot the per-service deltas before mutating.
+    // Snapshot the per-service deltas before mutating. Only services wanted
+    // or present on m can differ; they are visited in ascending id.
+    std::vector<int> services;
+    for (const auto& [s, count] : desired.ServicesOn(m)) services.push_back(s);
+    for (const auto& [s, count] : live.ServicesOn(m)) services.push_back(s);
+    std::sort(services.begin(), services.end());
+    services.erase(std::unique(services.begin(), services.end()),
+                   services.end());
     std::vector<std::pair<int, int>> deltas;  // (service, want - cur)
-    for (int s = 0; s < cluster.num_services(); ++s) {
+    for (int s : services) {
       const int delta = desired.CountOn(m, s) - live.CountOn(m, s);
       if (delta != 0) deltas.push_back({s, delta});
     }
@@ -69,8 +77,8 @@ void AdjustTargetForUnavailable(const Cluster& cluster, const Placement& live,
           if (dest < 0) {
             // Cancel the planned move instead: leave the container where it
             // currently lives (a machine with a planned surplus delete).
-            for (int d = 0; d < cluster.num_machines(); ++d) {
-              if (d != m && desired.CountOn(d, s) < live.CountOn(d, s) &&
+            for (const auto& [d, count] : live.MachinesOf(s)) {
+              if (d != m && desired.CountOn(d, s) < count &&
                   desired.CanPlace(d, s)) {
                 dest = d;
                 break;
@@ -88,10 +96,15 @@ void AdjustTargetForUnavailable(const Cluster& cluster, const Placement& live,
         // matched creates elsewhere so service totals stay balanced.
         desired.Add(m, s, -delta);
         int to_cancel = -delta;
-        for (int d = 0; d < cluster.num_machines() && to_cancel > 0; ++d) {
+        // A planned create sits where desired has the service; the walks
+        // step past each machine before removing from it.
+        const std::map<int, int>& wanted_on = desired.MachinesOf(s);
+        for (auto it = wanted_on.begin();
+             it != wanted_on.end() && to_cancel > 0;) {
+          const auto [d, count] = *it++;
           if (d == m) continue;
           const int cancellable =
-              std::min(to_cancel, desired.CountOn(d, s) - live.CountOn(d, s));
+              std::min(to_cancel, count - live.CountOn(d, s));
           if (cancellable > 0) {
             RASA_CHECK(desired.Remove(d, s, cancellable).ok());
             to_cancel -= cancellable;
@@ -100,9 +113,11 @@ void AdjustTargetForUnavailable(const Cluster& cluster, const Placement& live,
         // Any remainder's matched create already executed (or the target
         // shrinks the service): compensate with a surplus delete on an
         // available machine so the service does not stay over-deployed.
-        for (int d = 0; d < cluster.num_machines() && to_cancel > 0; ++d) {
+        for (auto it = wanted_on.begin();
+             it != wanted_on.end() && to_cancel > 0;) {
+          const auto [d, count] = *it++;
           if (d == m || !actions.Available(d)) continue;
-          const int removable = std::min(to_cancel, desired.CountOn(d, s));
+          const int removable = std::min(to_cancel, count);
           if (removable > 0) {
             RASA_CHECK(desired.Remove(d, s, removable).ok());
             to_cancel -= removable;
@@ -128,9 +143,9 @@ void RepairDeficits(const Cluster& cluster, Placement& live,
     while (live.TotalOf(s) < desired.TotalOf(s)) {
       // Prefer machines the target actually wants the container on.
       int dest = -1;
-      for (int m = 0; m < cluster.num_machines(); ++m) {
-        if (desired.CountOn(m, s) > live.CountOn(m, s) &&
-            actions.Available(m) && live.CanPlace(m, s)) {
+      for (const auto& [m, count] : desired.MachinesOf(s)) {
+        if (count > live.CountOn(m, s) && actions.Available(m) &&
+            live.CanPlace(m, s)) {
           dest = m;
           break;
         }
@@ -160,8 +175,8 @@ void RepairDeficits(const Cluster& cluster, Placement& live,
         // Shrink the desired target by one container of s (preferring a
         // machine with a deficit) and record the loss.
         int victim = -1;
-        for (int m = 0; m < cluster.num_machines(); ++m) {
-          if (desired.CountOn(m, s) > live.CountOn(m, s)) {
+        for (const auto& [m, count] : desired.MachinesOf(s)) {
+          if (count > live.CountOn(m, s)) {
             victim = m;
             break;
           }

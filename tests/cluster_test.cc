@@ -1,10 +1,12 @@
 #include <algorithm>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "cluster/first_fit.h"
 #include "cluster/generator.h"
 #include "cluster/placement.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "graph/powerlaw_fit.h"
 #include "gtest/gtest.h"
 
@@ -200,6 +202,124 @@ TEST(PlacementTest, RuleCountAggregatesAcrossRuleMembers) {
   p.Add(0, 1, 1);
   EXPECT_EQ(p.RuleCount(0, 0), 3);
   EXPECT_FALSE(p.CanPlace(0, 1));
+}
+
+// CheckMachineFeasible audits only the rules of services on the machine.
+TEST(PlacementTest, MachineAuditNamesTheLowerViolatedRule) {
+  // Service 0 is listed first on the machine but sits in the higher rule.
+  std::vector<Service> services = {{"a", 2, {1.0}, 0}, {"b", 2, {1.0}, 0}};
+  std::vector<Machine> machines = {{"m", 0, {10.0}, 0}};
+  Cluster c({"cpu"}, services, machines, AffinityGraph(2),
+            {{{1}, 1}, {{0}, 1}});
+  Placement p(c);
+  p.Add(0, 0, 2);
+  p.Add(0, 1, 2);
+  const Status status = p.CheckMachineFeasible(0);
+  EXPECT_EQ(status.message(),
+            "machine 0 violates anti-affinity rule 0 (2 > 1)");
+}
+
+TEST(PlacementTest, MachineAuditReportsResourcesBeforeRules) {
+  std::vector<Service> services = {{"a", 3, {4.0}, 0}};
+  std::vector<Machine> machines = {{"m", 0, {10.0}, 0}};
+  Cluster c({"cpu"}, services, machines, AffinityGraph(1), {{{0}, 1}});
+  Placement p(c);
+  p.Add(0, 0, 3);
+  const Status status = p.CheckMachineFeasible(0);
+  EXPECT_EQ(status.message(),
+            "machine 0 over capacity on resource 0: 12 > 10");
+}
+
+TEST(PlacementTest, MachineAuditIgnoresRulesWithNoMemberPresent) {
+  // A limit of 0 bans service 1 outright; machine 0 hosts none of it.
+  std::vector<Service> services = {{"a", 2, {1.0}, 0}, {"b", 1, {1.0}, 0}};
+  std::vector<Machine> machines = {{"m0", 0, {10.0}, 0},
+                                   {"m1", 0, {10.0}, 0}};
+  Cluster c({"cpu"}, services, machines, AffinityGraph(2), {{{1}, 0}});
+  ASSERT_TRUE(c.Validate().ok());
+  Placement p(c);
+  p.Add(0, 0, 2);
+  p.Add(1, 1, 1);
+  EXPECT_TRUE(p.CheckMachineFeasible(0).ok());
+  EXPECT_EQ(p.CheckMachineFeasible(1).message(),
+            "machine 1 violates anti-affinity rule 0 (1 > 0)");
+}
+
+// The machine audit by its definition: resources, hosting, then every
+// anti-affinity rule of the cluster in id order.
+Status FullRuleScanAudit(const Cluster& c, const Placement& p, int m) {
+  for (int r = 0; r < c.num_resources(); ++r) {
+    if (p.UsedResource(m, r) > c.machine(m).capacity[r] + kCapacityTolerance) {
+      return FailedPreconditionError(StrFormat(
+          "machine %d over capacity on resource %d: %g > %g", m, r,
+          p.UsedResource(m, r), c.machine(m).capacity[r]));
+    }
+  }
+  for (const auto& [s, count] : p.ServicesOn(m)) {
+    if (count > 0 && !c.CanHost(m, s)) {
+      return FailedPreconditionError(
+          StrFormat("machine %d cannot host service %d", m, s));
+    }
+  }
+  for (size_t k = 0; k < c.anti_affinity().size(); ++k) {
+    const int count = p.RuleCount(m, static_cast<int>(k));
+    if (count > c.anti_affinity()[k].max_per_machine) {
+      return FailedPreconditionError(StrFormat(
+          "machine %d violates anti-affinity rule %zu (%d > %d)", m, k, count,
+          c.anti_affinity()[k].max_per_machine));
+    }
+  }
+  return Status::OK();
+}
+
+TEST(PlacementTest, MachineAuditMatchesFullRuleScanOnPerturbedPlacements) {
+  int rule_violations = 0;
+  for (const ClusterSpec& spec :
+       {M1Spec(32.0), M2Spec(32.0), M3Spec(32.0), M4Spec(32.0)}) {
+    SCOPED_TRACE(spec.name);
+    StatusOr<ClusterSnapshot> snapshot = GenerateCluster(spec);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    const Cluster& c = *snapshot->cluster;
+    ASSERT_FALSE(c.anti_affinity().empty());
+    Placement p = snapshot->original_placement;
+    Rng rng(41);
+    const auto pick = [&rng](size_t n) {
+      return static_cast<int>(rng.NextUint64(n));
+    };
+    // Unchecked adds of random services, adds that push one anti-affinity
+    // rule to its limit, and removals.
+    for (int i = 0; i < c.num_machines(); ++i) {
+      const int m = pick(c.num_machines());
+      switch (pick(3)) {
+        case 0:
+          p.Add(m, pick(c.num_services()));
+          break;
+        case 1: {
+          const AntiAffinityRule& rule = c.anti_affinity()[pick(
+              c.anti_affinity().size())];
+          p.Add(m, rule.services[pick(rule.services.size())],
+                rule.max_per_machine);
+          break;
+        }
+        default:
+          if (!p.ServicesOn(m).empty()) {
+            ASSERT_TRUE(p.Remove(m, p.ServicesOn(m).begin()->first).ok());
+          }
+      }
+    }
+    Status first_violation = Status::OK();
+    for (int m = 0; m < c.num_machines(); ++m) {
+      const Status want = FullRuleScanAudit(c, p, m);
+      EXPECT_EQ(p.CheckMachineFeasible(m).ToString(), want.ToString())
+          << "machine " << m;
+      if (want.message().find("anti-affinity") != std::string::npos) {
+        ++rule_violations;
+      }
+      if (first_violation.ok()) first_violation = want;
+    }
+    EXPECT_EQ(p.CheckFeasible(false).ToString(), first_violation.ToString());
+  }
+  EXPECT_GT(rule_violations, 0);
 }
 
 TEST(PlacementTest, DiffCountCountsMoves) {
