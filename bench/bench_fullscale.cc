@@ -158,12 +158,12 @@ int main() {
   int pop_terms = 0;
   for (size_t i = 0; i < result->subproblems.size(); ++i) {
     const SubproblemReport& report = result->subproblems[i];
-    const CertificateTerm& term = result->report.certificate.terms[i];
+    const LedgerRecord& rec = result->report.records[i];
     if (!report.used_pop) continue;
     ++pop_terms;
-    RASA_CHECK(term.source == "pop");
-    RASA_CHECK(!term.tightened);
-    RASA_CHECK(term.bound == report.internal_affinity);
+    RASA_CHECK(rec.bound_source == "pop");
+    RASA_CHECK(!rec.bound_tightened);
+    RASA_CHECK(rec.certificate_bound == report.internal_affinity);
   }
   RASA_CHECK(pop_terms == result->pop_splits);
 

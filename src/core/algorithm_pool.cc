@@ -38,25 +38,43 @@ const char* PoolAlgorithmToString(PoolAlgorithm algorithm) {
   return "UNKNOWN";
 }
 
+const char* AttemptOutcomeToString(AttemptOutcome outcome) {
+  switch (outcome) {
+    case AttemptOutcome::kNotRun:
+      return "not_run";
+    case AttemptOutcome::kOk:
+      return "ok";
+    case AttemptOutcome::kFailed:
+      return "failed";
+    case AttemptOutcome::kExpired:
+      return "expired";
+    case AttemptOutcome::kPruned:
+      return "pruned";
+  }
+  return "unknown";
+}
+
 StatusOr<SubproblemSolution> RunPoolAlgorithm(
     PoolAlgorithm algorithm, const Cluster& cluster,
     const Subproblem& subproblem, const Placement& base,
     const Placement& original, const Deadline& deadline, uint64_t seed,
-    PoolAttemptStats* stats, const Placement* mip_incumbent) {
+    SolveAttempt* attempt, const Placement* mip_incumbent) {
   PoolMetrics& metrics = MetricsFor(algorithm);
   metrics.picks.Increment();
   Stopwatch timer;
   StatusOr<SubproblemSolution> result =
       InvalidArgumentError("unknown pool algorithm");
-  if (stats != nullptr) *stats = PoolAttemptStats{};
+  SolveAttempt run;
+  run.algorithm = algorithm;
   switch (algorithm) {
     case PoolAlgorithm::kCg: {
       CgOptions options;
       options.deadline = deadline;
       options.seed = seed;
-      CgStats cg_stats;
       result = SolveSubproblemCg(cluster, subproblem, base, original, options,
-                                 &cg_stats);
+                                 &run.cg);
+      run.has_cg = true;
+      const CgStats& cg_stats = run.cg;
       MetricRegistry& reg = MetricRegistry::Default();
       static Histogram& rounds = reg.GetHistogram("pool.cg_rounds");
       static Histogram& patterns = reg.GetHistogram("pool.cg_patterns");
@@ -73,10 +91,6 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
       refactor.Increment(static_cast<uint64_t>(cg_stats.refactorizations));
       lp_pivots.Increment(static_cast<uint64_t>(cg_stats.lp_iterations));
       eta.Observe(static_cast<double>(cg_stats.max_eta_length));
-      if (stats != nullptr) {
-        stats->has_cg = true;
-        stats->cg = cg_stats;
-      }
       break;
     }
     case PoolAlgorithm::kMip: {
@@ -84,19 +98,16 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
       options.deadline = deadline;
       options.seed = seed;
       options.incumbent_hint = mip_incumbent;
-      result = SolveSubproblemMip(cluster, subproblem, base, options,
-                                  stats != nullptr ? &stats->mip : nullptr);
-      if (stats != nullptr) stats->has_mip = true;
+      result = SolveSubproblemMip(cluster, subproblem, base, options, &run.mip);
+      run.has_mip = true;
       break;
     }
   }
-  const double seconds = timer.ElapsedSeconds();
-  metrics.seconds.Observe(seconds);
-  if (stats != nullptr) {
-    stats->algorithm = algorithm;
-    stats->seconds = seconds;
-  }
+  run.seconds = timer.ElapsedSeconds();
+  run.outcome = result.ok() ? AttemptOutcome::kOk : AttemptOutcome::kFailed;
+  metrics.seconds.Observe(run.seconds);
   if (!result.ok()) metrics.failures.Increment();
+  if (attempt != nullptr) *attempt = run;
   return result;
 }
 

@@ -16,12 +16,26 @@ enum class PoolAlgorithm { kCg = 0, kMip = 1 };
 
 const char* PoolAlgorithmToString(PoolAlgorithm algorithm);
 
-/// Everything one pool-algorithm attempt reveals about itself, captured for
-/// the solve ledger (observation-only — nothing here steers the solve).
-struct PoolAttemptStats {
+/// How one rung of the degradation ladder ended for a subproblem.
+enum class AttemptOutcome {
+  kNotRun,   // the ladder never reached this rung
+  kOk,       // solver returned a solution
+  kFailed,   // solver ran and failed (OOT / infeasible model / error)
+  kExpired,  // global budget was gone before the attempt
+  kPruned,   // planned away by an open circuit breaker; never started
+};
+
+const char* AttemptOutcomeToString(AttemptOutcome outcome);
+
+/// One rung of a subproblem's ladder: which algorithm ran, how it ended,
+/// and its solver introspection (observation-only; nothing here ever
+/// feeds back into the solve).
+struct SolveAttempt {
   PoolAlgorithm algorithm = PoolAlgorithm::kCg;
+  AttemptOutcome outcome = AttemptOutcome::kNotRun;
   double seconds = 0.0;
-  /// Exactly one of the two is populated, matching `algorithm`.
+  /// At most one of the two is populated, matching `algorithm`, and only
+  /// when the solver actually ran.
   bool has_cg = false;
   CgStats cg;
   bool has_mip = false;
@@ -30,8 +44,9 @@ struct PoolAttemptStats {
 
 /// Runs one pool algorithm on a subproblem. `base` holds the trivial
 /// residents (defines residual capacities); `original` is the pre-RASA
-/// placement (CG seeds patterns from it). Neither is modified. `stats`,
-/// when non-null, receives the attempt's solver introspection.
+/// placement (CG seeds patterns from it). Neither is modified. `attempt`,
+/// when non-null, is overwritten with the run: algorithm, kOk or kFailed,
+/// wall-clock and solver introspection.
 /// `mip_incumbent`, when non-null, offers an extra feasible placement (the
 /// incremental path's prior incumbent) as the MIP warm start — see
 /// MipAlgorithmOptions::incumbent_hint; the CG branch ignores it (CG warm
@@ -40,7 +55,7 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
     PoolAlgorithm algorithm, const Cluster& cluster,
     const Subproblem& subproblem, const Placement& base,
     const Placement& original, const Deadline& deadline, uint64_t seed = 29,
-    PoolAttemptStats* stats = nullptr,
+    SolveAttempt* attempt = nullptr,
     const Placement* mip_incumbent = nullptr);
 
 /// True iff RunPoolAlgorithm on `subproblem` returns an error, whatever

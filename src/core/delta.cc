@@ -247,9 +247,14 @@ StatusOr<IncrementalState> DecodeIncrementalState(std::istream& is) {
     return InvalidArgumentError("truncated incremental state header");
   }
   state.valid = valid != 0;
-  if (num_sp > static_cast<size_t>(state.num_services) + 1) {
-    return InvalidArgumentError("incremental state subproblem count invalid");
+  if (state.num_services < 0 || state.num_machines < 0 ||
+      state.num_resources < 0 ||
+      num_sp > static_cast<size_t>(state.num_services) + 1) {
+    return InvalidArgumentError("incremental state header invalid");
   }
+  // Every id indexes a per-service or per-machine array downstream.
+  auto is_service = [&](int s) { return s >= 0 && s < state.num_services; };
+  auto is_machine = [&](int m) { return m >= 0 && m < state.num_machines; };
   state.subproblems.resize(num_sp);
   for (SubproblemCache& cache : state.subproblems) {
     std::string tag;
@@ -264,6 +269,7 @@ StatusOr<IncrementalState> DecodeIncrementalState(std::istream& is) {
     sp.services.resize(count);
     for (int& s : sp.services) {
       if (!(is >> s)) return InvalidArgumentError("truncated services");
+      if (!is_service(s)) return InvalidArgumentError("service id out of range");
     }
     if (!(is >> count) || count > static_cast<size_t>(state.num_machines)) {
       return InvalidArgumentError("bad incremental state machine count");
@@ -271,6 +277,7 @@ StatusOr<IncrementalState> DecodeIncrementalState(std::istream& is) {
     sp.machines.resize(count);
     for (int& m : sp.machines) {
       if (!(is >> m)) return InvalidArgumentError("truncated machines");
+      if (!is_machine(m)) return InvalidArgumentError("machine id out of range");
     }
     if (!(is >> sp.internal_affinity >> count)) {
       return InvalidArgumentError("truncated subproblem affinity");
@@ -283,6 +290,9 @@ StatusOr<IncrementalState> DecodeIncrementalState(std::istream& is) {
       if (!(is >> e.u >> e.v >> e.weight)) {
         return InvalidArgumentError("truncated edges");
       }
+      if (!is_service(e.u) || !is_service(e.v)) {
+        return InvalidArgumentError("edge endpoint out of range");
+      }
     }
     if (!(is >> count) ||
         count > sp.services.size() * (sp.machines.size() + 1)) {
@@ -293,12 +303,19 @@ StatusOr<IncrementalState> DecodeIncrementalState(std::istream& is) {
       if (!(is >> a.service >> a.machine >> a.count)) {
         return InvalidArgumentError("truncated assignments");
       }
+      if (!is_service(a.service) || !is_machine(a.machine) || a.count < 0) {
+        return InvalidArgumentError("assignment out of range");
+      }
     }
     int tightened = 0, used_secondary = 0, fell = 0;
     if (!(is >> cache.unplaced >> cache.realized >> cache.bound >>
           tightened >> cache.bound_source >> cache.algorithm >>
           used_secondary >> fell >> cache.ladder_rung >> count)) {
       return InvalidArgumentError("truncated subproblem outcome");
+    }
+    if (cache.algorithm < 0 || cache.algorithm > 1 || cache.ladder_rung < 0 ||
+        cache.ladder_rung > 2) {
+      return InvalidArgumentError("bad incremental state ladder outcome");
     }
     cache.tightened = tightened != 0;
     cache.used_secondary = used_secondary != 0;

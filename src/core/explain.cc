@@ -201,14 +201,14 @@ void AppendExplainJson(JsonWriter& w, const ExplainReport& report,
     w.Key("ratio").Value(c.Ratio());
     w.Key("tightened_terms").Value(c.tightened_terms);
     w.Key("terms").BeginArray();
-    for (const CertificateTerm& t : c.terms) {
+    for (const LedgerRecord& r : report.records) {
       w.BeginObject();
-      w.Key("subproblem").Value(t.subproblem);
-      w.Key("internal_affinity").Value(t.internal_affinity);
-      w.Key("bound").Value(t.bound);
-      w.Key("tightened").Value(t.tightened);
-      w.Key("source").Value(t.source);
-      w.Key("realized").Value(t.realized);
+      w.Key("subproblem").Value(r.subproblem);
+      w.Key("internal_affinity").Value(r.internal_affinity);
+      w.Key("bound").Value(r.certificate_bound);
+      w.Key("tightened").Value(r.bound_tightened);
+      w.Key("source").Value(r.bound_source);
+      w.Key("realized").Value(r.realized_affinity);
       w.EndObject();
     }
     w.EndArray();
@@ -289,7 +289,7 @@ std::string FormatExplainReport(const ExplainReport& report) {
       "  bound terms: external %.6f + subproblems %.6f (%d of %d tightened)"
       " + local-search credit %.6f\n",
       c.external_affinity, c.bound_solver_phase - c.external_affinity,
-      c.tightened_terms, static_cast<int>(c.terms.size()),
+      c.tightened_terms, static_cast<int>(report.records.size()),
       c.local_search_credit);
 
   const AttributionWaterfall& wf = report.waterfall;
@@ -310,11 +310,13 @@ std::string FormatExplainReport(const ExplainReport& report) {
   // not depend on the global metrics switch.
   Histogram::Snapshot hs;
   for (const LedgerRecord& r : report.records) {
-    ++hs.buckets[static_cast<size_t>(Histogram::BucketIndex(r.seconds))];
-    ++hs.count;
-    hs.sum += r.seconds;
-    hs.min = std::min(hs.min, r.seconds);
-    hs.max = std::max(hs.max, r.seconds);
+    if (!r.reused) {
+      ++hs.buckets[static_cast<size_t>(Histogram::BucketIndex(r.seconds))];
+      ++hs.count;
+      hs.sum += r.seconds;
+      hs.min = std::min(hs.min, r.seconds);
+      hs.max = std::max(hs.max, r.seconds);
+    }
     out += StrFormat("  #%d (pos %d, %d svc x %d mach, affinity %.6f): ",
                      r.subproblem, r.position, r.num_services, r.num_machines,
                      r.internal_affinity);

@@ -12,23 +12,6 @@
 
 namespace rasa {
 
-/// One subproblem's term of the cluster optimality-gap certificate.
-struct CertificateTerm {
-  int subproblem = 0;
-  double internal_affinity = 0.0;
-  /// The bound actually charged for this subproblem:
-  /// min(internal_affinity, solver bound) when `tightened`, else
-  /// internal_affinity (the trivial bound — every internal edge fully
-  /// localized).
-  double bound = 0.0;
-  bool tightened = false;
-  /// Where the tightening came from: "mip" (proven B&B dual bound), "cg-lp"
-  /// (restricted master LP objective, capped by the realized value because
-  /// greedy completion may round above the LP), or "trivial".
-  std::string source = "trivial";
-  double realized = 0.0;
-};
-
 /// Provable upper bound on the gained affinity achievable by the RASA
 /// pipeline at this partition, against what the run actually achieved.
 ///
@@ -42,7 +25,9 @@ struct CertificateTerm {
 /// own machines (unplaced == 0) — otherwise the fallback may localize
 /// internal edges on machines the solver never modeled, voiding its bound.
 /// Local search moves containers across subproblem boundaries, so its
-/// realized delta is credited to the bound rather than certified.
+/// realized delta is credited to the bound rather than certified. The
+/// per-subproblem terms live on the run's ledger records
+/// (LedgerRecord::certificate_bound, bound_tightened, bound_source).
 struct QualityCertificate {
   /// Gained affinity after merge + fallback, before local search (A3).
   double achieved_solver_phase = 0.0;
@@ -52,7 +37,7 @@ struct QualityCertificate {
   /// Weight of edges not internal to any subproblem, charged in full.
   double external_affinity = 0.0;
   double sum_internal_affinity = 0.0;
-  /// external_affinity + sum of per-subproblem certificate terms.
+  /// external_affinity + sum of the records' certificate terms.
   double bound_solver_phase = 0.0;
   /// max(0, local-search delta): realized, not certified (see above).
   double local_search_credit = 0.0;
@@ -60,7 +45,6 @@ struct QualityCertificate {
   double bound_final = 0.0;
 
   int tightened_terms = 0;
-  std::vector<CertificateTerm> terms;
 
   /// Relative optimality gap of the run: (bound - achieved) / max(bound, eps).
   double Gap() const;
@@ -122,10 +106,10 @@ struct PlacementDiffAudit {
 };
 
 /// The full explain report of one Optimize run: flight-recorder records in
-/// canonical order, the quality certificate, the attribution waterfall, and
-/// the placement diff. Deterministic: bit-identical at every thread count
-/// and with the ledger on or off (wall-clock fields excepted; JSON render
-/// can exclude them).
+/// canonical order (each carrying its certificate term), the quality
+/// certificate, the attribution waterfall, and the placement diff.
+/// Deterministic: bit-identical at every thread count and with the ledger
+/// on or off (wall-clock fields excepted; JSON render can exclude them).
 struct ExplainReport {
   bool populated = false;
   QualityCertificate certificate;
@@ -144,12 +128,14 @@ PlacementDiffAudit BuildPlacementDiff(const Cluster& cluster,
 /// Serializes the report as one JSON object on `writer`. With
 /// `include_timings` false, every wall-clock field is omitted so two runs
 /// of the same seed render bit-identically regardless of machine load —
-/// the form the determinism test compares.
+/// the form the determinism test compares. The certificate's `terms`
+/// array is rendered from the records.
 void AppendExplainJson(JsonWriter& writer, const ExplainReport& report,
                        bool include_timings = true);
 
 /// Human-readable multi-line report: certificate, waterfall, per-subproblem
-/// solver table, solve-time quantiles (p50/p95/p99), and the diff audit.
+/// solver table, quantiles (p50/p95/p99) of the solves that ran this run
+/// (reused records ran none), and the diff audit.
 std::string FormatExplainReport(const ExplainReport& report);
 
 }  // namespace rasa

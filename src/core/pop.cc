@@ -89,16 +89,27 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
     PoolAlgorithm algorithm, const Cluster& cluster,
     const Subproblem& subproblem, const Placement& base,
     const Placement& original, const Deadline& deadline, uint64_t seed,
-    const PopOptions& options, PoolAttemptStats* stats,
+    const PopOptions& options, SolveAttempt* attempt,
     const Placement* mip_incumbent, PopStats* pop_stats) {
   Stopwatch timer;
   const PopSplit split = SplitForPop(cluster, subproblem, seed, options);
   if (split.replicas.empty()) {
     return RunPoolAlgorithm(algorithm, cluster, subproblem, base, original,
-                            deadline, seed, stats, mip_incumbent);
+                            deadline, seed, attempt, mip_incumbent);
   }
   const int k = static_cast<int>(split.replicas.size());
   if (pop_stats != nullptr) *pop_stats = {k, split.cut_affinity};
+
+  // The attempt as a whole: aggregate timing only, deliberately no CG/MIP
+  // bound, because a replica-local bound does not bound the full
+  // subproblem. The certificate term therefore stays at the trivial bound.
+  auto file = [&](AttemptOutcome outcome) {
+    if (attempt == nullptr) return;
+    *attempt = SolveAttempt{};
+    attempt->algorithm = algorithm;
+    attempt->outcome = outcome;
+    attempt->seconds = timer.ElapsedSeconds();
+  };
 
   // Solve replicas sequentially, splitting whatever wall-clock remains
   // evenly across the replicas still to run.
@@ -109,17 +120,14 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
         std::isfinite(remaining)
             ? deadline.ClampedToSeconds(std::max(0.02, remaining / (k - r)))
             : deadline;
-    PoolAttemptStats replica_stats;
-    StatusOr<SubproblemSolution> solved = RunPoolAlgorithm(
-        algorithm, cluster, split.replicas[r], base, original,
-        replica_deadline, split.seeds[r], &replica_stats, mip_incumbent);
+    StatusOr<SubproblemSolution> solved =
+        RunPoolAlgorithm(algorithm, cluster, split.replicas[r], base, original,
+                         replica_deadline, split.seeds[r], nullptr,
+                         mip_incumbent);
     if (!solved.ok()) {
       // One failed replica fails the attempt; the caller's degradation
       // ladder (secondary algorithm, then greedy) takes over.
-      if (stats != nullptr) {
-        stats->algorithm = algorithm;
-        stats->seconds = timer.ElapsedSeconds();
-      }
+      file(AttemptOutcome::kFailed);
       return solved;
     }
     combined.assignments.insert(combined.assignments.end(),
@@ -133,16 +141,7 @@ StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
   // on one machine.
   combined.gained_affinity =
       SubproblemGainedAffinity(cluster, subproblem, combined.assignments);
-
-  if (stats != nullptr) {
-    // Aggregate timing only: deliberately no CG/MIP bound, because a
-    // replica-local bound does not bound the full subproblem. The
-    // certificate term therefore stays at the trivial bound.
-    stats->algorithm = algorithm;
-    stats->seconds = timer.ElapsedSeconds();
-    stats->has_cg = false;
-    stats->has_mip = false;
-  }
+  file(AttemptOutcome::kOk);
   return combined;
 }
 

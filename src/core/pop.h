@@ -52,16 +52,17 @@ bool ShouldUsePop(const PopOptions& options, const Subproblem& subproblem);
 /// Deterministic for a fixed `seed`: the split and every replica solve
 /// derive from it alone. Replicas run sequentially in the caller's thread
 /// (the caller already occupies a worker slot; nesting into the pool could
-/// deadlock). `stats` receives aggregate timing only —
-/// never a CG/MIP bound, because replica-local bounds do not bound the
-/// full subproblem, keeping the certificate sound by construction. The
+/// deadlock). On a split, `attempt` receives the outcome and aggregate
+/// timing only — never a CG/MIP bound, because replica-local bounds do not
+/// bound the full subproblem, keeping the certificate sound by
+/// construction. The
 /// returned solution's gained_affinity is re-priced over the *full*
 /// subproblem's edges, so cross-replica co-location luck is credited.
 StatusOr<SubproblemSolution> RunPoolAlgorithmPop(
     PoolAlgorithm algorithm, const Cluster& cluster,
     const Subproblem& subproblem, const Placement& base,
     const Placement& original, const Deadline& deadline, uint64_t seed,
-    const PopOptions& options, PoolAttemptStats* stats = nullptr,
+    const PopOptions& options, SolveAttempt* attempt = nullptr,
     const Placement* mip_incumbent = nullptr, PopStats* pop_stats = nullptr);
 
 /// True iff RunPoolAlgorithmPop with the same algorithm, subproblem, seed

@@ -227,29 +227,17 @@ std::vector<PoolAlgorithm> SelectStage(const Cluster& cluster,
   return labels;
 }
 
-// One rung of a subproblem's ladder.
-struct AttemptRecord {
-  PoolAlgorithm algorithm = PoolAlgorithm::kCg;
-  uint64_t seed = 0;
-  // Planned by PlanLadder: kOk or kFailed for a rung that runs, kPruned,
-  // or kNotRun for an unneeded secondary. The worker overwrites it with
-  // kExpired when the global budget is gone, or with what the run returned.
-  AttemptOutcome outcome = AttemptOutcome::kNotRun;
-  std::optional<SubproblemSolution> solution;  // set iff the run returned one
-  // Solver introspection, captured unconditionally (cheap out-params) and
-  // consumed by the merge when it assembles the flight-recorder records.
-  PoolAttemptStats stats;
-  PopStats pop;  // the rung's replica split, on POP subproblems
-};
-
-// One subproblem's planned ladder and what the worker's solve made of it,
-// filed later in canonical order. Workers never touch the placement, the
-// report, or the ladder counters — those belong to the merge.
-struct SolveRecord {
-  double budget = 0.0;   // primary budget share, seconds
-  double seconds = 0.0;  // wall-clock of the worker's solve
-  AttemptRecord primary;
-  AttemptRecord secondary;
+// What one subproblem's solve keeps beside its ledger record: the rung
+// seeds, the run's solution and POP split, and what the merge landed.
+// Workers write only their own record and side; the placement and the
+// counters belong to the merge.
+struct SolveSide {
+  uint64_t seeds[2] = {0, 0};  // primary, secondary rung
+  // The winning rung's solution, else the affinity greedy's; on a reused
+  // subproblem, the cached solve's own account (no assignments).
+  std::optional<SubproblemSolution> solution;
+  PopStats pop;  // the replica split of the last rung run, on POP subproblems
+  std::vector<Assignment> landed;  // what the merge placed
 };
 
 // What every rung of every subproblem solves against.
@@ -262,23 +250,35 @@ struct SolveInputs {
   const Placement& warm_source;
 };
 
-// Plans every dirty subproblem's ladder in canonical order before any
-// solve starts: both rung seeds, and each rung's outcome on a run no
-// deadline cuts short. Whether a rung fails depends on no solve
-// (PopAttemptFails), so the circuit breaker is decided here, once.
-std::vector<SolveRecord> PlanLadder(const SolveInputs& in,
-                                    const std::vector<PoolAlgorithm>& selected,
-                                    const std::vector<int>& order) {
+// Rung 2's algorithm below a rung 1 that ran `algorithm`.
+PoolAlgorithm OtherAlgorithm(PoolAlgorithm algorithm) {
+  return algorithm == PoolAlgorithm::kCg ? PoolAlgorithm::kMip
+                                         : PoolAlgorithm::kCg;
+}
+
+// Opens one ledger record per canonical position, then plans every dirty
+// subproblem's ladder in canonical order before any solve starts: both rung
+// seeds, and each rung's outcome on a run no deadline cuts short. Whether a
+// rung fails depends on no solve (PopAttemptFails), so the circuit breaker
+// is decided here, once. A rung left unplanned keeps the default attempt.
+std::vector<SolveSide> PlanLadder(const SolveInputs& in, SelectorPolicy policy,
+                                  const std::vector<PoolAlgorithm>& selected,
+                                  const std::vector<int>& order,
+                                  std::vector<LedgerRecord>& records) {
   const TraceSpan span("ladder");
   const std::vector<Subproblem>& subproblems = in.plan.partition.subproblems;
-  std::vector<SolveRecord> records(order.size());
+  records.assign(order.size(), LedgerRecord{});
+  std::vector<SolveSide> sides(order.size());
   int failures[2] = {0, 0};
-  // Plans one rung on `sp`; true iff it is planned to return a solution.
-  auto plan_rung = [&](const Subproblem& sp, AttemptRecord& rung) {
-    int& failed = failures[static_cast<int>(rung.algorithm)];
+  // Plans `algorithm` as one rung on `sp`; true iff it is planned to return
+  // a solution.
+  auto plan_rung = [&](const Subproblem& sp, PoolAlgorithm algorithm,
+                       uint64_t seed, SolveAttempt& rung) {
+    rung.algorithm = algorithm;
+    int& failed = failures[static_cast<int>(algorithm)];
     if (failed >= kBreakerFailures) {
       rung.outcome = AttemptOutcome::kPruned;
-    } else if (PopAttemptFails(rung.algorithm, in.cluster, sp, rung.seed,
+    } else if (PopAttemptFails(algorithm, in.cluster, sp, seed,
                                in.options.pop)) {
       rung.outcome = AttemptOutcome::kFailed;
       ++failed;
@@ -289,33 +289,45 @@ std::vector<SolveRecord> PlanLadder(const SolveInputs& in,
   };
   for (size_t position = 0; position < order.size(); ++position) {
     const int idx = order[position];
+    const Subproblem& sp = subproblems[idx];
+    LedgerRecord& rec = records[position];
+    rec.subproblem = idx;
+    rec.position = static_cast<int>(position);
+    rec.num_services = static_cast<int>(sp.services.size());
+    rec.num_machines = static_cast<int>(sp.machines.size());
+    rec.internal_affinity = sp.internal_affinity;
+    rec.selector_policy = policy;
+    rec.selected = selected[idx];
+    rec.reused = in.plan.reuse[idx] != 0;
+    // Every certificate term starts at the trivial bound; the merge
+    // tightens it where a solver proved better.
+    rec.certificate_bound = sp.internal_affinity;
     // Reused subproblems skip the solvers entirely — no RNG draws (streams
     // are independent, so dirty solves draw the seeds a full run would).
-    if (in.plan.reuse[idx]) continue;
-    SolveRecord& rec = records[position];
+    if (rec.reused) continue;
     // Per-subproblem RNG stream; both attempt seeds are drawn up front so
     // they do not depend on which rungs actually run.
+    SolveSide& side = sides[position];
     Rng sp_rng(in.options.seed ^
                (kStreamSalt * (static_cast<uint64_t>(idx) + 1)));
-    rec.primary.seed = sp_rng.Next();
-    rec.secondary.seed = sp_rng.Next();
-    rec.primary.algorithm = selected[idx];
-    rec.secondary.algorithm = rec.primary.algorithm == PoolAlgorithm::kCg
-                                  ? PoolAlgorithm::kMip
-                                  : PoolAlgorithm::kCg;
+    side.seeds[0] = sp_rng.Next();
+    side.seeds[1] = sp_rng.Next();
     // Rung 2, the other pool algorithm, only below a rung 1 that returns
     // nothing.
-    const Subproblem& sp = subproblems[idx];
-    if (!plan_rung(sp, rec.primary)) plan_rung(sp, rec.secondary);
+    if (!plan_rung(sp, rec.selected, side.seeds[0], rec.primary)) {
+      plan_rung(sp, OtherAlgorithm(rec.selected), side.seeds[1],
+                rec.secondary);
+    }
   }
-  return records;
+  return sides;
 }
 
 // Runs the planned rungs, fanned out across the pool. Shared state is
-// confined to the deadline ledger; everything else is per-record.
-void SolveStage(const SolveInputs& in, const std::vector<int>& order,
-                const Deadline& deadline, ThreadPool* pool,
-                std::vector<SolveRecord>& records) {
+// confined to the deadline ledger; each worker writes only its own record
+// and side.
+void SolveStage(const SolveInputs& in, const Deadline& deadline,
+                ThreadPool* pool, std::vector<LedgerRecord>& records,
+                std::vector<SolveSide>& sides) {
   const std::vector<Subproblem>& subproblems = in.plan.partition.subproblems;
   const int n = static_cast<int>(subproblems.size());
   // Reused subproblems consume no share of the deadline.
@@ -329,21 +341,25 @@ void SolveStage(const SolveInputs& in, const std::vector<int>& order,
   // workers run on pool threads whose thread-local span stacks are empty.
   const TraceSpan solve_span("solve");
   auto solve_one = [&](int position) {
-    const int idx = order[position];
-    if (in.plan.reuse[idx]) return;
-    const Subproblem& sp = subproblems[idx];
-    SolveRecord& rec = records[position];
-    TraceSpan sp_span(StrFormat("subproblem_%d", idx), solve_span.id());
+    LedgerRecord& rec = records[position];
+    if (rec.reused) return;
+    const Subproblem& sp = subproblems[rec.subproblem];
+    SolveSide& side = sides[position];
+    TraceSpan sp_span(StrFormat("subproblem_%d", rec.subproblem),
+                      solve_span.id());
     Stopwatch sp_timer;
     const Deadline sp_deadline =
-        ledger.Reserve(sp.internal_affinity, &rec.budget);
+        ledger.Reserve(sp.internal_affinity, &rec.budget_seconds);
 
     // A rung that finds the global budget gone records kExpired whatever
-    // its plan (expired beats pruned); otherwise it starts iff planned to.
-    // POP is the rung's strategy, not a branch of the ladder: a subproblem
-    // over the POP threshold runs the same pool algorithm on a split.
-    auto attempt = [&](AttemptRecord& rung, const Deadline& rung_deadline) {
+    // its plan (expired beats pruned); otherwise it starts iff planned to,
+    // and the run overwrites the planned attempt. POP is the rung's
+    // strategy, not a branch of the ladder: a subproblem over the POP
+    // threshold runs the same pool algorithm on a split.
+    auto attempt = [&](SolveAttempt& rung, PoolAlgorithm algorithm,
+                       uint64_t seed, const Deadline& rung_deadline) {
       if (deadline.Expired()) {
+        rung.algorithm = algorithm;
         rung.outcome = AttemptOutcome::kExpired;
         return;
       }
@@ -352,19 +368,18 @@ void SolveStage(const SolveInputs& in, const std::vector<int>& order,
         return;
       }
       StatusOr<SubproblemSolution> result = RunPoolAlgorithmPop(
-          rung.algorithm, in.cluster, sp, in.plan.partition.base_placement,
-          in.warm_source, rung_deadline, rung.seed, in.options.pop,
-          &rung.stats, in.plan.hint ? &*in.plan.hint : nullptr, &rung.pop);
-      rung.outcome =
-          result.ok() ? AttemptOutcome::kOk : AttemptOutcome::kFailed;
-      if (result.ok()) rung.solution = std::move(result).value();
+          algorithm, in.cluster, sp, in.plan.partition.base_placement,
+          in.warm_source, rung_deadline, seed, in.options.pop, &rung,
+          in.plan.hint ? &*in.plan.hint : nullptr, &side.pop);
+      if (result.ok()) side.solution = std::move(result).value();
     };
-    attempt(rec.primary, sp_deadline);
-    if (!rec.primary.solution) {
+    attempt(rec.primary, rec.selected, side.seeds[0], sp_deadline);
+    if (!side.solution) {
       // The secondary rung's budget: a fresh slice of whatever global
       // budget remains, half the primary's share.
-      attempt(rec.secondary, deadline.ClampedToSeconds(
-                                 std::max(0.02, 0.5 * rec.budget)));
+      attempt(rec.secondary, OtherAlgorithm(rec.selected), side.seeds[1],
+              deadline.ClampedToSeconds(
+                  std::max(0.02, 0.5 * rec.budget_seconds)));
     }
     rec.seconds = sp_timer.ElapsedSeconds();
   };
@@ -376,53 +391,6 @@ void SolveStage(const SolveInputs& in, const std::vector<int>& order,
   }
 }
 
-// Translates a rung into the ledger's SolveAttempt. Stats are attached
-// only when a solver ran; a rung the ladder never reached keeps the
-// default attempt.
-SolveAttempt MakeAttempt(const AttemptRecord& rung) {
-  SolveAttempt attempt;
-  if (rung.outcome == AttemptOutcome::kNotRun) return attempt;
-  attempt.algorithm = rung.algorithm;
-  attempt.outcome = rung.outcome;
-  if (rung.outcome == AttemptOutcome::kOk ||
-      rung.outcome == AttemptOutcome::kFailed) {
-    attempt.seconds = rung.stats.seconds;
-    attempt.has_cg = rung.stats.has_cg;
-    attempt.cg = rung.stats.cg;
-    attempt.has_mip = rung.stats.has_mip;
-    attempt.mip = rung.stats.mip;
-  }
-  return attempt;
-}
-
-// One subproblem as the merge decided it: reused and solved subproblems
-// both reduce to the ladder outcome, what landed, and the certificate term.
-struct MergedSubproblem {
-  // Ladder outcome. A reused subproblem echoes the cached solve's, with
-  // both attempts kNotRun and no timings.
-  PoolAlgorithm algorithm = PoolAlgorithm::kCg;
-  bool reused = false;
-  bool used_secondary = false;
-  bool fell_to_greedy = false;
-  int ladder_rung = 0;
-  SolveAttempt primary;
-  SolveAttempt secondary;
-  double budget_seconds = 0.0;
-  double seconds = 0.0;
-  const PopStats* pop = nullptr;  // the winning rung's POP split, if any
-  // The solution's own account: realized affinity and unplaced containers
-  // (a reused subproblem re-prices the realized value under this snapshot's
-  // weights and reports the cached unplaced count).
-  double gained_affinity = 0.0;
-  int unplaced_containers = 0;
-  // What landed on the working placement, and how many containers of the
-  // subproblem's services it could NOT keep on the subproblem's machines
-  // (they go to the global fallback).
-  std::vector<Assignment> landed;
-  int merge_unplaced = 0;
-  CertificateTerm term;
-};
-
 // The merge's running state: the working placement and the per-service
 // tally of containers left for the global fallback.
 struct MergeState {
@@ -430,242 +398,191 @@ struct MergeState {
   std::vector<int> unplaced;
 };
 
-// A term at the trivial bound: every internal edge fully localized.
-CertificateTerm TrivialTerm(int subproblem_idx, const Subproblem& sp,
-                            double realized) {
-  CertificateTerm term;
-  term.subproblem = subproblem_idx;
-  term.internal_affinity = sp.internal_affinity;
-  term.realized = realized;
-  term.bound = sp.internal_affinity;
-  return term;
-}
-
-// Tightens `term` to a claimed bound when that beats the trivial one. The
-// realized value caps the claim from below: a correct claim never sits
-// under it, and the max keeps the term sound when one does.
-void Tighten(CertificateTerm& term, double claim) {
-  const double candidate = std::max(claim, term.realized);
-  if (candidate < term.internal_affinity) {
-    term.bound = candidate;
-    term.tightened = true;
+// Tightens `rec`'s certificate term to a claimed bound when that beats the
+// trivial one. The realized value caps the claim from below: a correct
+// claim never sits under it, and the max keeps the term sound when one
+// does.
+void Tighten(LedgerRecord& rec, double claim) {
+  const double candidate = std::max(claim, rec.realized_affinity);
+  if (candidate < rec.internal_affinity) {
+    rec.certificate_bound = candidate;
+    rec.bound_tightened = true;
   }
 }
 
 // A reused subproblem: re-apply the cached assignments. The CanPlace guard
 // absorbs any residual shrinkage the differ tolerated, handing whatever no
-// longer fits to the global fallback.
-MergedSubproblem MergeReused(const Cluster& cluster, const DeltaPlan& plan,
-                             int idx, MergeState& state) {
+// longer fits to the global fallback. The ladder fields echo the cached
+// solve's; both attempts stay kNotRun.
+void MergeReused(const Cluster& cluster, const DeltaPlan& plan,
+                 LedgerRecord& rec, SolveSide& side, MergeState& state) {
+  const int idx = rec.subproblem;
   const Subproblem& sp = plan.partition.subproblems[idx];
   const SubproblemCache& cache = plan.cache->subproblems[idx];
-  MergedSubproblem m;
-  m.reused = true;
-  m.algorithm = static_cast<PoolAlgorithm>(cache.algorithm);
-  m.used_secondary = cache.used_secondary;
-  m.fell_to_greedy = cache.fell_to_greedy;
-  m.ladder_rung = cache.ladder_rung;
-  m.unplaced_containers = cache.unplaced;
-  m.landed = ApplyGuarded(cache.assignments, state.working);
-  m.merge_unplaced = TallyUnplaced(cluster, sp, m.landed, state.unplaced);
-  m.gained_affinity = SubproblemGainedAffinity(cluster, sp, m.landed);
+  rec.used_secondary = cache.used_secondary;
+  rec.fell_to_greedy = cache.fell_to_greedy;
+  rec.ladder_rung = cache.ladder_rung;
+  side.landed = ApplyGuarded(cache.assignments, state.working);
+  rec.unplaced_containers =
+      TallyUnplaced(cluster, sp, side.landed, state.unplaced);
+  // Re-priced under this snapshot's weights; the cached solve's own
+  // unplaced count stands.
+  rec.realized_affinity = SubproblemGainedAffinity(cluster, sp, side.landed);
+  side.solution = SubproblemSolution{{}, rec.realized_affinity, cache.unplaced};
 
   // The cached bound is reused only while it is still sound for this
   // snapshot: the original tightening held, every cached container fits
   // again now, no machine regained capacity since the solve, and the weight
   // ratio inflates away any tolerated edge growth (see DESIGN.md
   // "Incremental re-optimization").
-  m.term = TrivialTerm(idx, sp, m.gained_affinity);
-  if (cache.tightened && m.merge_unplaced == 0 &&
+  if (cache.tightened && rec.unplaced_containers == 0 &&
       !plan.residual_increased[idx]) {
-    Tighten(m.term, plan.weight_ratio[idx] * cache.bound);
-    if (m.term.tightened) m.term.source = cache.bound_source;
+    Tighten(rec, plan.weight_ratio[idx] * cache.bound);
+    if (rec.bound_tightened) rec.bound_source = cache.bound_source;
   }
-  return m;
 }
 
-// A solved subproblem's certificate term: min(internal, proven solver
-// bound), tightened below the trivial bound only when the winning attempt
-// proved a bound AND the merge placed every container inside the
-// subproblem's own machines — otherwise the fallback may localize internal
-// edges on machines the solver never modeled (see explain.h).
-CertificateTerm SolvedTerm(int subproblem_idx, const Subproblem& sp,
-                           const MergedSubproblem& m) {
-  CertificateTerm term = TrivialTerm(subproblem_idx, sp, m.gained_affinity);
-  if (m.fell_to_greedy || m.merge_unplaced != 0) return term;
-  const SolveAttempt& winner = m.used_secondary ? m.secondary : m.primary;
-  if (winner.has_mip && winner.mip.solved && winner.mip.bound_proven) {
-    // A proven B&B dual bound.
-    term.source = "mip";
-    Tighten(term, winner.mip.best_bound);
-  } else if (winner.has_cg && winner.cg.has_lp_bound) {
-    // The restricted master LP bounds any integral selection of generated
-    // patterns, but greedy completion may round above it — the realized
-    // value caps it back to soundness.
-    term.source = "cg-lp";
-    Tighten(term, winner.cg.lp_objective);
-  }
-  return term;
-}
-
-// A solved subproblem: file the rungs the worker ran, then apply the
-// winning rung's assignments (or the affinity greedy's).
-MergedSubproblem MergeSolved(const SolveInputs& in, int idx,
-                             const SolveRecord& rec, MergeState& state,
-                             RasaResult& result) {
+// A solved subproblem: apply the winning rung's assignments (or the
+// affinity greedy's), then settle the certificate term: min(internal,
+// proven solver bound), tightened below the trivial bound only when the
+// winning attempt proved a bound AND the merge placed every container
+// inside the subproblem's own machines — otherwise the fallback may
+// localize internal edges on machines the solver never modeled (see
+// explain.h).
+void MergeSolved(const SolveInputs& in, LedgerRecord& rec, SolveSide& side,
+                 MergeState& state) {
+  const int idx = rec.subproblem;
   const Subproblem& sp = in.plan.partition.subproblems[idx];
-  const AttemptRecord& primary = rec.primary;
-  const AttemptRecord& secondary = rec.secondary;
-  MergedSubproblem m;
-  m.algorithm = primary.algorithm;
-  m.budget_seconds = rec.budget;
-  m.seconds = rec.seconds;
-  m.primary = MakeAttempt(primary);
-  m.secondary = MakeAttempt(secondary);
-  if (primary.outcome == AttemptOutcome::kPruned) ++result.breaker_skips;
-  for (const AttemptRecord* rung : {&primary, &secondary}) {
-    if (rung->outcome == AttemptOutcome::kFailed) ++result.solver_failures;
-  }
-
-  const SubproblemSolution* solution = nullptr;
-  if (primary.solution) {
-    solution = &*primary.solution;
-  } else if (secondary.solution) {
-    solution = &*secondary.solution;
+  // A primary that returned a solution reads kOk; anything else below a
+  // solution means the secondary rescued it.
+  rec.used_secondary =
+      side.solution && rec.primary.outcome != AttemptOutcome::kOk;
+  if (rec.used_secondary) {
     RASA_LOG(Info) << "subproblem " << idx << ": "
-                   << PoolAlgorithmToString(primary.algorithm) << " failed, "
-                   << PoolAlgorithmToString(secondary.algorithm)
+                   << PoolAlgorithmToString(rec.primary.algorithm)
+                   << " failed, "
+                   << PoolAlgorithmToString(rec.secondary.algorithm)
                    << " rescued it";
-    m.used_secondary = true;
-    ++result.secondary_successes;
   }
-
-  if (solution == nullptr) {
-    m.fell_to_greedy = true;
-    ++result.greedy_fallbacks;
+  if (!side.solution) {
+    rec.fell_to_greedy = true;
     RASA_LOG(Info) << "subproblem " << idx << " ("
-                   << PoolAlgorithmToString(m.algorithm)
+                   << PoolAlgorithmToString(rec.selected)
                    << ") fell through the ladder; using affinity greedy";
     // Affinity-aware greedy fallback, far better than scattering the
     // containers through the default scheduler; it places straight into
     // the working placement.
-    SubproblemSolution greedy =
-        GreedyAffinityPlace(in.cluster, sp, state.working);
-    m.gained_affinity = greedy.gained_affinity;
-    m.unplaced_containers = greedy.unplaced_containers;
-    m.landed = std::move(greedy.assignments);
+    side.solution = GreedyAffinityPlace(in.cluster, sp, state.working);
+    side.landed = std::move(side.solution->assignments);
   } else {
-    m.landed = ApplyGuarded(solution->assignments, state.working);
-    m.gained_affinity = solution->gained_affinity;
-    m.unplaced_containers = solution->unplaced_containers;
+    side.landed = ApplyGuarded(side.solution->assignments, state.working);
   }
-  m.merge_unplaced = TallyUnplaced(in.cluster, sp, m.landed, state.unplaced);
-  m.ladder_rung = m.fell_to_greedy ? 2 : (m.used_secondary ? 1 : 0);
-  m.term = SolvedTerm(idx, sp, m);
-  if (ShouldUsePop(in.options.pop, sp) && !m.fell_to_greedy) {
-    m.pop = m.used_secondary ? &secondary.pop : &primary.pop;
+  rec.realized_affinity = side.solution->gained_affinity;
+  rec.unplaced_containers =
+      TallyUnplaced(in.cluster, sp, side.landed, state.unplaced);
+  rec.ladder_rung = rec.fell_to_greedy ? 2 : (rec.used_secondary ? 1 : 0);
+
+  if (rec.fell_to_greedy) return;
+  const SolveAttempt& winner = rec.used_secondary ? rec.secondary : rec.primary;
+  if (rec.unplaced_containers == 0) {
+    if (winner.has_mip && winner.mip.solved && winner.mip.bound_proven) {
+      // A proven B&B dual bound.
+      rec.bound_source = "mip";
+      Tighten(rec, winner.mip.best_bound);
+    } else if (winner.has_cg && winner.cg.has_lp_bound) {
+      // The restricted master LP bounds any integral selection of generated
+      // patterns, but greedy completion may round above it — the realized
+      // value caps it back to soundness.
+      rec.bound_source = "cg-lp";
+      Tighten(rec, winner.cg.lp_objective);
+    }
+  }
+  if (ShouldUsePop(in.options.pop, sp)) {
     // A POP union is a heuristic over an unseen edge cut — mark its term so
     // gap consumers can attribute looseness to the split (the bound itself
     // is already trivial because POP attempts carry no solver bound).
-    m.term.source = "pop";
+    rec.bound_source = "pop";
   }
-  return m;
-}
-
-// Files one merged subproblem: its report, ledger record, and certificate
-// term, plus — when the call carries a delta state — the next cycle's
-// cache entry.
-void RecordSubproblem(const Subproblem& sp, int idx, int position,
-                      SelectorPolicy policy, MergedSubproblem& m,
-                      RasaResult& result, IncrementalState* out_state) {
-  SubproblemReport report;
-  report.num_services = static_cast<int>(sp.services.size());
-  report.num_machines = static_cast<int>(sp.machines.size());
-  report.internal_affinity = sp.internal_affinity;
-  report.algorithm = m.algorithm;
-  report.gained_affinity = m.gained_affinity;
-  report.unplaced_containers = m.unplaced_containers;
-  report.seconds = m.seconds;
-  report.failed = m.fell_to_greedy;
-  report.used_secondary = m.used_secondary;
-  if (m.pop != nullptr) {
-    report.used_pop = true;
-    report.pop_replicas = m.pop->replicas;
-    report.pop_cut_affinity = m.pop->cut_affinity;
-    // POP attempts never surface a CG/MIP bound, so the certificate term
-    // stays at the trivial internal_affinity bound: the measured give-up of
-    // the split is simply bound - realized.
-    report.pop_quality_loss =
-        std::max(0.0, sp.internal_affinity - report.gained_affinity);
-    ++result.pop_splits;
-    result.pop_quality_loss += report.pop_quality_loss;
-  }
-  result.subproblems.push_back(report);
-
-  LedgerRecord lrec;
-  lrec.subproblem = idx;
-  lrec.position = position;
-  lrec.num_services = report.num_services;
-  lrec.num_machines = report.num_machines;
-  lrec.internal_affinity = sp.internal_affinity;
-  lrec.selector_policy = policy;
-  lrec.selected = m.algorithm;
-  lrec.primary = m.primary;
-  lrec.secondary = m.secondary;
-  lrec.ladder_rung = m.ladder_rung;
-  lrec.used_secondary = m.used_secondary;
-  lrec.fell_to_greedy = m.fell_to_greedy;
-  lrec.reused = m.reused;
-  lrec.budget_seconds = m.budget_seconds;
-  lrec.seconds = m.seconds;
-  lrec.realized_affinity = m.gained_affinity;
-  lrec.unplaced_containers = m.merge_unplaced;
-  lrec.certificate_bound = m.term.bound;
-  lrec.bound_tightened = m.term.tightened;
-  result.report.records.push_back(std::move(lrec));
-
-  if (out_state != nullptr) {
-    SubproblemCache& cap = out_state->subproblems[idx];
-    cap.subproblem = sp;
-    cap.assignments = std::move(m.landed);
-    cap.unplaced = m.merge_unplaced;
-    cap.realized = m.gained_affinity;
-    cap.bound = m.term.bound;
-    cap.tightened = m.term.tightened;
-    cap.bound_source = m.term.source;
-    cap.algorithm = static_cast<int>(m.algorithm);
-    cap.used_secondary = m.used_secondary;
-    cap.fell_to_greedy = m.fell_to_greedy;
-    cap.ladder_rung = m.ladder_rung;
-  }
-  result.report.certificate.terms.push_back(std::move(m.term));
 }
 
 // Merges the subproblems in canonical order, single-threaded, so the
-// merged placement and every counter are independent of worker scheduling.
-MergeState MergeStage(const SolveInputs& in, SelectorPolicy policy,
-                      const std::vector<int>& order,
-                      const std::vector<SolveRecord>& records,
-                      RasaResult& result, IncrementalState* out_state) {
+// merged placement and every record are independent of worker scheduling.
+// When the call carries a delta state, each record also files the next
+// cycle's cache entry.
+MergeState MergeStage(const SolveInputs& in, std::vector<LedgerRecord>& records,
+                      std::vector<SolveSide>& sides,
+                      IncrementalState* out_state) {
   const TraceSpan span("merge");
   const DeltaPlan& plan = in.plan;
   MergeState state;
   state.working = plan.partition.base_placement;
   state.unplaced.assign(in.cluster.num_services(), 0);
   if (out_state != nullptr) {
-    out_state->subproblems.assign(order.size(), SubproblemCache{});
+    out_state->subproblems.assign(records.size(), SubproblemCache{});
   }
-  for (int position = 0; position < static_cast<int>(order.size());
-       ++position) {
-    const int idx = order[position];
-    MergedSubproblem m =
-        plan.reuse[idx]
-            ? MergeReused(in.cluster, plan, idx, state)
-            : MergeSolved(in, idx, records[position], state, result);
-    RecordSubproblem(plan.partition.subproblems[idx], idx, position, policy,
-                     m, result, out_state);
+  for (size_t position = 0; position < records.size(); ++position) {
+    LedgerRecord& rec = records[position];
+    SolveSide& side = sides[position];
+    if (rec.reused) {
+      MergeReused(in.cluster, plan, rec, side, state);
+    } else {
+      MergeSolved(in, rec, side, state);
+    }
+    if (out_state == nullptr) continue;
+    SubproblemCache& cap = out_state->subproblems[rec.subproblem];
+    cap.subproblem = plan.partition.subproblems[rec.subproblem];
+    cap.assignments = std::move(side.landed);
+    cap.unplaced = rec.unplaced_containers;
+    cap.realized = rec.realized_affinity;
+    cap.bound = rec.certificate_bound;
+    cap.tightened = rec.bound_tightened;
+    cap.bound_source = rec.bound_source;
+    cap.algorithm = static_cast<int>(rec.selected);
+    cap.used_secondary = rec.used_secondary;
+    cap.fell_to_greedy = rec.fell_to_greedy;
+    cap.ladder_rung = rec.ladder_rung;
   }
   return state;
+}
+
+// The result's other per-subproblem views, derived from the records: one
+// SubproblemReport row per record and the ladder counters.
+void SummarizeRecords(const std::vector<SolveSide>& sides,
+                      RasaResult& result) {
+  const std::vector<LedgerRecord>& records = result.report.records;
+  for (size_t position = 0; position < records.size(); ++position) {
+    const LedgerRecord& rec = records[position];
+    SubproblemReport row;
+    row.num_services = rec.num_services;
+    row.num_machines = rec.num_machines;
+    row.internal_affinity = rec.internal_affinity;
+    row.algorithm = rec.selected;
+    row.gained_affinity = rec.realized_affinity;
+    // The solution's own count; the record keeps what the merge could not
+    // place.
+    row.unplaced_containers = sides[position].solution->unplaced_containers;
+    row.seconds = rec.seconds;
+    row.failed = rec.fell_to_greedy;
+    row.used_secondary = rec.used_secondary;
+    if (!rec.reused && rec.bound_source == "pop") {
+      row.used_pop = true;
+      row.pop_replicas = sides[position].pop.replicas;
+      row.pop_cut_affinity = sides[position].pop.cut_affinity;
+      // POP attempts never surface a CG/MIP bound, so the certificate term
+      // stays at the trivial internal_affinity bound: the measured give-up
+      // of the split is simply bound - realized.
+      row.pop_quality_loss =
+          std::max(0.0, rec.internal_affinity - rec.realized_affinity);
+    }
+    result.subproblems.push_back(row);
+  }
+  const LadderCounts ladder = CountLadder(records);
+  result.solver_failures = ladder.solver_failures;
+  result.secondary_successes = ladder.secondary_successes;
+  result.greedy_fallbacks = ladder.greedy_fallbacks;
+  result.breaker_skips = ladder.breaker_skips;
+  result.pop_splits = ladder.pop_splits;
+  result.pop_quality_loss = ladder.pop_quality_loss;
 }
 
 // Completes the next cycle's delta state with the residuals the solvers
@@ -727,9 +644,9 @@ void LocalSearchStage(const Cluster& cluster, const RasaOptions& options,
 
 // Explain report: the rest of the attribution waterfall (Optimize
 // recorded the merge and fallback steps), the optimality-gap certificate
-// anchored to the solver-phase value, and the placement diff. Records and
-// certificate terms were assembled by the merge. Observation-only —
-// nothing here touches the placement.
+// anchored to the solver-phase value, and the placement diff. The records,
+// each with its certificate term, were completed by the merge.
+// Observation-only — nothing here touches the placement.
 void ExplainStage(const Cluster& cluster, const Placement& current,
                   const PartitionResult& partition, const Placement& working,
                   double solver_phase, RasaResult& result) {
@@ -755,9 +672,9 @@ void ExplainStage(const Cluster& cluster, const Placement& current,
   cert.sum_internal_affinity = sum_internal;
   cert.external_affinity = external;
   double bound = external;
-  for (const CertificateTerm& term : cert.terms) {
-    bound += term.bound;
-    if (term.tightened) ++cert.tightened_terms;
+  for (const LedgerRecord& rec : explain.records) {
+    bound += rec.certificate_bound;
+    if (rec.bound_tightened) ++cert.tightened_terms;
   }
   cert.bound_solver_phase = bound;
   cert.local_search_credit = std::max(0.0, wf.local_search_delta);
@@ -805,9 +722,10 @@ void RecordRunMetrics(const RasaResult& result, double improvement) {
   for (const auto& [name, value] : counters) {
     reg.GetCounter(name).Increment(static_cast<uint64_t>(value));
   }
+  // Only the solves that ran: a reused record took no solver time.
   Histogram& sp_seconds = reg.GetHistogram("rasa.subproblem_seconds");
-  for (const SubproblemReport& report : result.subproblems) {
-    sp_seconds.Observe(report.seconds);
+  for (const LedgerRecord& rec : result.report.records) {
+    if (!rec.reused) sp_seconds.Observe(rec.seconds);
   }
   reg.GetHistogram("rasa.optimize_seconds").Observe(result.elapsed_seconds);
   reg.GetGauge("rasa.improvement").Set(improvement);
@@ -875,10 +793,12 @@ StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
                        plan.hint ? *plan.hint : current};
   const std::vector<PoolAlgorithm> selected =
       SelectStage(cluster, plan, selector_, pool);
-  std::vector<SolveRecord> records = PlanLadder(in, selected, order);
-  SolveStage(in, order, deadline, pool, records);
-  MergeState merged =
-      MergeStage(in, selector_.policy(), order, records, result, out_state);
+  std::vector<LedgerRecord>& records = result.report.records;
+  std::vector<SolveSide> sides =
+      PlanLadder(in, selector_.policy(), selected, order, records);
+  SolveStage(in, deadline, pool, records, sides);
+  MergeState merged = MergeStage(in, records, sides, out_state);
+  SummarizeRecords(sides, result);
   if (out_state != nullptr) CaptureDeltaState(cluster, partition, out_state);
 
   // Attribution waterfall: the trivial residents the partition kept in

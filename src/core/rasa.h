@@ -52,7 +52,9 @@ struct RasaOptions {
   PopOptions pop;
 };
 
-/// Per-subproblem record for reporting and ablation benches.
+/// Per-subproblem row for reporting and ablation benches: a view of the
+/// LedgerRecord at the same position of `RasaResult::report.records`, plus
+/// the solver's own unplaced count and the POP split.
 struct SubproblemReport {
   int num_services = 0;
   int num_machines = 0;
@@ -97,7 +99,8 @@ struct RasaResult {
   int lost_containers = 0;
   int moved_containers = 0;
 
-  // Degradation-ladder accounting (all 0 on a healthy run).
+  // Degradation-ladder accounting (all 0 on a healthy run), counted over
+  // `report.records` by CountLadder.
   int solver_failures = 0;      // pool-algorithm attempts that failed
   int secondary_successes = 0;  // rescued by the other pool algorithm
   int greedy_fallbacks = 0;     // bottom of the ladder

@@ -1,5 +1,6 @@
 #include "core/solve_ledger.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/metrics.h"
@@ -11,20 +12,24 @@ std::atomic<bool> g_ledger_enabled{true};
 
 }  // namespace
 
-const char* AttemptOutcomeToString(AttemptOutcome outcome) {
-  switch (outcome) {
-    case AttemptOutcome::kNotRun:
-      return "not_run";
-    case AttemptOutcome::kOk:
-      return "ok";
-    case AttemptOutcome::kFailed:
-      return "failed";
-    case AttemptOutcome::kExpired:
-      return "expired";
-    case AttemptOutcome::kPruned:
-      return "pruned";
+LadderCounts CountLadder(const std::vector<LedgerRecord>& records,
+                         bool include_reused) {
+  LadderCounts counts;
+  for (const LedgerRecord& r : records) {
+    if (r.reused && !include_reused) continue;
+    for (const SolveAttempt* attempt : {&r.primary, &r.secondary}) {
+      if (attempt->outcome == AttemptOutcome::kFailed) ++counts.solver_failures;
+    }
+    if (r.primary.outcome == AttemptOutcome::kPruned) ++counts.breaker_skips;
+    if (r.used_secondary) ++counts.secondary_successes;
+    if (r.fell_to_greedy) ++counts.greedy_fallbacks;
+    if (!r.reused && r.bound_source == "pop") {
+      ++counts.pop_splits;
+      counts.pop_quality_loss +=
+          std::max(0.0, r.internal_affinity - r.realized_affinity);
+    }
   }
-  return "unknown";
+  return counts;
 }
 
 SolveLedger& SolveLedger::Default() {

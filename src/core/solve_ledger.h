@@ -2,6 +2,7 @@
 #define RASA_CORE_SOLVE_LEDGER_H_
 
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/algorithm_pool.h"
@@ -9,36 +10,13 @@
 
 namespace rasa {
 
-/// Outcome of one rung of the degradation ladder for a subproblem.
-enum class AttemptOutcome {
-  kNotRun,   // the ladder never reached this rung
-  kOk,       // solver returned a solution
-  kFailed,   // solver ran and failed (OOT / infeasible model / error)
-  kExpired,  // global budget was gone before the attempt
-  kPruned,   // planned away by an open circuit breaker; never started
-};
-
-const char* AttemptOutcomeToString(AttemptOutcome outcome);
-
-/// One solver attempt as recorded by the flight recorder: which algorithm
-/// ran on which rung, how it ended, and its full introspection
-/// (observation-only; nothing here ever feeds back into the solve).
-struct SolveAttempt {
-  PoolAlgorithm algorithm = PoolAlgorithm::kCg;
-  AttemptOutcome outcome = AttemptOutcome::kNotRun;
-  double seconds = 0.0;
-  /// At most one of the two is populated, matching `algorithm`, and only
-  /// when the solver actually ran.
-  bool has_cg = false;
-  CgStats cg;
-  bool has_mip = false;
-  SubproblemMipStats mip;
-};
-
-/// Flight-recorder entry for one per-subproblem solve: everything needed to
+/// The one record of a per-subproblem solve: everything needed to
 /// reconstruct why the ladder ended where it did and what quality bound the
-/// solvers proved. Assembled by the merge phase in canonical solve order,
-/// so the sequence is bit-identical at every thread count.
+/// solvers proved. Opened by the ladder plan, filled in by the worker that
+/// solves it and completed by the merge, all at its canonical position, so
+/// the sequence is bit-identical at every thread count. Every other
+/// per-subproblem view of a run (SubproblemReport, the ladder counters,
+/// the certificate terms, the delta cache) is derived from it.
 struct LedgerRecord {
   int subproblem = 0;  // global subproblem index
   int position = 0;    // canonical solve position (0 = highest affinity)
@@ -75,11 +53,36 @@ struct LedgerRecord {
   int unplaced_containers = 0;
 
   /// This subproblem's term in the cluster optimality-gap certificate:
-  /// min(internal_affinity, proven solver bound) — see explain.h for when
-  /// tightening below internal_affinity is sound.
+  /// min(internal_affinity, proven solver bound) when `bound_tightened`,
+  /// else internal_affinity (the trivial bound: every internal edge fully
+  /// localized) — see explain.h for when tightening is sound.
   double certificate_bound = 0.0;
   bool bound_tightened = false;
+  /// Where the term's bound came from: "mip" (proven B&B dual bound),
+  /// "cg-lp" (restricted master LP objective, capped by the realized value
+  /// because greedy completion may round above the LP), "pop" (solved via
+  /// a POP replica split, whose attempts carry no solver bound), or
+  /// "trivial".
+  std::string bound_source = "trivial";
 };
+
+/// Degradation-ladder outcomes counted over a run's records.
+struct LadderCounts {
+  int solver_failures = 0;      // attempts that ran and failed
+  int secondary_successes = 0;  // rescued by the other pool algorithm
+  int greedy_fallbacks = 0;     // fell to the bottom of the ladder
+  int breaker_skips = 0;        // primary attempts the breaker pruned
+  int pop_splits = 0;           // solved via a POP replica split
+  /// Sum over the POP-solved records of bound minus realized affinity.
+  double pop_quality_loss = 0.0;
+};
+
+/// Counts `records` in order. A reused record ran no solver but echoes the
+/// ladder fields of the solve it re-applies: `include_reused` counts those
+/// echoes too (what the last cycle's placement rests on) rather than only
+/// what this run solved.
+LadderCounts CountLadder(const std::vector<LedgerRecord>& records,
+                         bool include_reused = false);
 
 /// Process-wide, thread-safe flight recorder for per-subproblem solves.
 /// Appending is cheap (one mutex, records are moved in); readers snapshot.

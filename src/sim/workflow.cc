@@ -481,13 +481,13 @@ Status WorkflowRunner::RecordOptimizerRun(int cycle, const RasaResult& result,
   }
   cr.explain = result.report;
   if (cr.explain.populated) {
+    // What the cycle's placement rests on: reused records count with the
+    // rung of the solve they re-apply.
+    const LadderCounts ladder =
+        CountLadder(cr.explain.records, /*include_reused=*/true);
     last_ledger_.subproblems = static_cast<int>(cr.explain.records.size());
-    last_ledger_.greedy_fallbacks = 0;
-    last_ledger_.secondary_successes = 0;
-    for (const LedgerRecord& rec : cr.explain.records) {
-      if (rec.fell_to_greedy) ++last_ledger_.greedy_fallbacks;
-      if (rec.used_secondary) ++last_ledger_.secondary_successes;
-    }
+    last_ledger_.greedy_fallbacks = ladder.greedy_fallbacks;
+    last_ledger_.secondary_successes = ladder.secondary_successes;
     last_ledger_.solver_failures = report_.solver_failures;
     last_ledger_.certificate_gap = cr.explain.certificate.Gap();
   }

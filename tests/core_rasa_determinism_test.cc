@@ -9,6 +9,7 @@
 // mid-solve) or zero (the ladder collapses straight to the greedy). Both
 // regimes are scheduling-independent; see DESIGN.md "Threading model".
 
+#include <algorithm>
 #include <vector>
 
 #include "cluster/generator.h"
@@ -156,7 +157,8 @@ TEST(RasaDeterminismTest, AllThreadCountsAgree) {
 // it then discards. On a cluster where every subproblem is labelled MIP,
 // the three largest exceed the MIP row cap and the breaker then prunes MIP:
 // every pool-algorithm run the metrics count is a ledger attempt that ran
-// (ok or failed), and no pruned attempt carries solver stats.
+// (ok or failed), no pruned attempt carries solver stats, and every
+// RasaResult ladder counter equals its count over the records.
 TEST(RasaDeterminismTest, LadderRunsNoDiscardedSolve) {
   const ClusterSnapshot snapshot = testing::MakeSnapshot(M4Spec(16.0), 5);
   RasaOptions options;
@@ -180,11 +182,15 @@ TEST(RasaDeterminismTest, LadderRunsNoDiscardedSolve) {
     const uint64_t runs = picks() - picks_before;
     uint64_t ran = 0;
     int pruned = 0;
+    // Every RasaResult ladder counter, counted again over the records.
+    int failed = 0, rescued = 0, greedy = 0, skipped = 0, split = 0;
+    double pop_loss = 0.0;
     for (const LedgerRecord& rec : r->report.records) {
       for (const SolveAttempt* attempt : {&rec.primary, &rec.secondary}) {
         if (attempt->outcome == AttemptOutcome::kOk ||
             attempt->outcome == AttemptOutcome::kFailed) {
           ++ran;
+          failed += attempt->outcome == AttemptOutcome::kFailed;
         } else if (attempt->outcome == AttemptOutcome::kPruned) {
           ++pruned;
           EXPECT_EQ(attempt->seconds, 0.0);
@@ -192,10 +198,25 @@ TEST(RasaDeterminismTest, LadderRunsNoDiscardedSolve) {
           EXPECT_FALSE(attempt->has_mip);
         }
       }
+      skipped += rec.primary.outcome == AttemptOutcome::kPruned;
+      rescued += rec.used_secondary;
+      greedy += rec.fell_to_greedy;
+      if (rec.bound_source == "pop") {
+        ++split;
+        pop_loss += std::max(0.0, rec.internal_affinity - rec.realized_affinity);
+      }
     }
     EXPECT_GT(r->solver_failures, 0);
+    EXPECT_GT(r->secondary_successes, 0);
     EXPECT_GT(pruned, 0);
     EXPECT_EQ(runs, ran);
+    EXPECT_EQ(r->solver_failures, failed);
+    EXPECT_EQ(r->secondary_successes, rescued);
+    EXPECT_EQ(r->greedy_fallbacks, greedy);
+    EXPECT_EQ(r->breaker_skips, skipped);
+    EXPECT_EQ(r->pop_splits, split);
+    EXPECT_EQ(r->pop_quality_loss, pop_loss);
+    ASSERT_EQ(r->subproblems.size(), r->report.records.size());
   }
 }
 

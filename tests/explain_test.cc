@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "cluster/generator.h"
 #include "common/json_writer.h"
@@ -49,20 +50,20 @@ void ExpectCertificateSound(const RasaResult& result) {
   EXPECT_GE(cert.Gap(), 0.0);
   EXPECT_GE(cert.Ratio(), 0.0);
   EXPECT_LE(cert.Ratio(), 1.0);
-  // The bound decomposes exactly into its published terms.
+  // The bound decomposes exactly into the records' terms.
   double sum_terms = 0.0;
   int tightened = 0;
-  for (const CertificateTerm& term : cert.terms) {
-    EXPECT_LE(term.bound, term.internal_affinity + kEps);
-    EXPECT_GE(term.bound, 0.0);
-    if (term.tightened) {
+  for (const LedgerRecord& rec : result.report.records) {
+    EXPECT_LE(rec.certificate_bound, rec.internal_affinity + kEps);
+    EXPECT_GE(rec.certificate_bound, 0.0);
+    if (rec.bound_tightened) {
       ++tightened;
       // Tightening requires a non-trivial solver bound, and that bound
       // still covers what the subproblem realized.
-      EXPECT_NE(term.source, "trivial");
-      EXPECT_LE(term.realized, term.bound + kEps);
+      EXPECT_NE(rec.bound_source, "trivial");
+      EXPECT_LE(rec.realized_affinity, rec.certificate_bound + kEps);
     }
-    sum_terms += term.bound;
+    sum_terms += rec.certificate_bound;
   }
   EXPECT_EQ(tightened, cert.tightened_terms);
   EXPECT_NEAR(cert.bound_solver_phase, cert.external_affinity + sum_terms,
@@ -111,20 +112,23 @@ TEST(ExplainTest, WaterfallSumsToFinalAffinity) {
 TEST(ExplainTest, RecordsMirrorSubproblemReportsInCanonicalOrder) {
   const ClusterSnapshot snapshot = MakeCluster(13);
   const RasaResult result = RunRasa(snapshot, SelectorPolicy::kHeuristic, 5);
-  ASSERT_EQ(result.report.records.size(), result.subproblems.size());
-  ASSERT_EQ(result.report.certificate.terms.size(),
-            result.subproblems.size());
+  const std::vector<LedgerRecord>& records = result.report.records;
+  ASSERT_EQ(records.size(), result.subproblems.size());
   double previous_affinity = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < result.report.records.size(); ++i) {
-    const LedgerRecord& rec = result.report.records[i];
+  for (size_t i = 0; i < records.size(); ++i) {
+    const LedgerRecord& rec = records[i];
     const SubproblemReport& rep = result.subproblems[i];
     EXPECT_EQ(rec.position, static_cast<int>(i));
+    // Each report row is a view of the record at the same position.
     EXPECT_EQ(rec.num_services, rep.num_services);
     EXPECT_EQ(rec.num_machines, rep.num_machines);
     EXPECT_DOUBLE_EQ(rec.internal_affinity, rep.internal_affinity);
+    EXPECT_EQ(rec.selected, rep.algorithm);
     EXPECT_DOUBLE_EQ(rec.realized_affinity, rep.gained_affinity);
+    EXPECT_EQ(rec.seconds, rep.seconds);
     EXPECT_EQ(rec.used_secondary, rep.used_secondary);
     EXPECT_EQ(rec.fell_to_greedy, rep.failed);
+    EXPECT_EQ(rec.bound_source == "pop", rep.used_pop);
     EXPECT_EQ(rec.ladder_rung,
               rep.failed ? 2 : (rep.used_secondary ? 1 : 0));
     // Canonical solve order: non-increasing internal affinity.
@@ -134,9 +138,20 @@ TEST(ExplainTest, RecordsMirrorSubproblemReportsInCanonicalOrder) {
     if (rec.primary.outcome == AttemptOutcome::kOk && !rec.used_secondary) {
       EXPECT_TRUE(rec.primary.has_cg || rec.primary.has_mip);
     }
-    EXPECT_DOUBLE_EQ(rec.certificate_bound,
-                     result.report.certificate.terms[i].bound);
   }
+
+  // The certificate's rendered terms are the records' terms, in order.
+  JsonWriter writer;
+  AppendExplainJson(writer, result.report, /*include_timings=*/false);
+  const std::string json = writer.str();
+  size_t at = json.find("\"terms\": [");
+  ASSERT_NE(at, std::string::npos);
+  for (const LedgerRecord& rec : records) {
+    at = json.find("\"source\": \"" + rec.bound_source + "\"", at);
+    ASSERT_NE(at, std::string::npos) << "record " << rec.position;
+    ++at;
+  }
+  EXPECT_LT(at, json.find("\"waterfall\""));
 }
 
 TEST(ExplainTest, PlacementDiffNamesTheMovers) {

@@ -6,11 +6,14 @@
 // across --resume) lives in incremental_determinism_test.cc.
 
 #include <cstdio>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/generator.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/delta.h"
 #include "core/rasa.h"
@@ -164,6 +167,62 @@ TEST(DeltaTest, DecodeRejectsCorruptInput) {
   EXPECT_FALSE(
       DecodeIncrementalStateString("incstate-v1 1 42 5 4 1 0.5 0.1 99999999")
           .ok());
+  EXPECT_FALSE(
+      DecodeIncrementalStateString("incstate-v1 1 42 -5 4 1 0.5 0.1 0").ok());
+
+  // Well-framed states whose values index past the header's cluster: each
+  // would write out of bounds in DiffSnapshot or the merge.
+  const ClusterSnapshot snapshot = MakeCluster(7);
+  const RasaOptimizer optimizer(TestOptions(23),
+                                AlgorithmSelector(SelectorPolicy::kHeuristic));
+  IncrementalState state;
+  ASSERT_TRUE(optimizer
+                  .Optimize(*snapshot.cluster, snapshot.original_placement,
+                            OptimizeContext(nullptr, &state))
+                  .ok());
+  std::vector<std::string> tokens;
+  {
+    std::istringstream is(EncodeIncrementalStateString(state));
+    for (std::string token; is >> token;) tokens.push_back(token);
+  }
+  // Token offsets of the first cached subproblem's fields (see
+  // EncodeIncrementalState): "sp", services, machines, affinity, edges,
+  // assignments, then the solve's outcome.
+  size_t at = 10;
+  const size_t service = at + 1;
+  at += 1 + std::stoul(tokens[at]);
+  const size_t machine = at + 1;
+  at += 1 + std::stoul(tokens[at]) + 1;
+  ASSERT_GT(std::stoul(tokens[at]), 0u) << "first subproblem has no edges";
+  const size_t edge_v = at + 2;
+  at += 1 + 3 * std::stoul(tokens[at]);
+  ASSERT_GT(std::stoul(tokens[at]), 0u) << "first subproblem placed nothing";
+  const size_t assignment_service = at + 1;
+  const size_t assignment_machine = at + 2;
+  const size_t assignment_count = at + 3;
+  at += 1 + 3 * std::stoul(tokens[at]);
+  const size_t algorithm = at + 5;
+  const size_t ladder_rung = at + 8;
+  const std::pair<size_t, const char*> corruptions[] = {
+      {service, "99999999"},       {service, "-1"},
+      {machine, "99999999"},       {edge_v, "99999999"},
+      {assignment_service, "-1"},  {assignment_machine, "99999999"},
+      {assignment_count, "-2"},    {algorithm, "2"},
+      {algorithm, "-1"},           {ladder_rung, "3"},
+      {ladder_rung, "-1"},
+  };
+  auto join = [](const std::vector<std::string>& parts) {
+    std::string text;
+    for (const std::string& part : parts) text += part + " ";
+    return text;
+  };
+  ASSERT_TRUE(DecodeIncrementalStateString(join(tokens)).ok());
+  for (const auto& [offset, value] : corruptions) {
+    SCOPED_TRACE(::testing::Message() << "token " << offset << " = " << value);
+    std::vector<std::string> corrupt = tokens;
+    corrupt[offset] = value;
+    EXPECT_FALSE(DecodeIncrementalStateString(join(corrupt)).ok());
+  }
 }
 
 TEST(DeltaTest, JournalRecordRoundTripsIncrementalState) {
@@ -221,6 +280,10 @@ TEST(IncrementalOptimizeTest, FirstCallIsColdStartThenSteadyStateReuses) {
   const ClusterSnapshot snapshot = MakeCluster(11);
   const RasaOptimizer optimizer(TestOptions(29),
                                 AlgorithmSelector(SelectorPolicy::kHeuristic));
+  // One solve-time sample per subproblem whose solvers ran.
+  const Histogram& solve_seconds =
+      MetricRegistry::Default().GetHistogram("rasa.subproblem_seconds");
+  uint64_t samples = solve_seconds.Scrape().count;
   IncrementalState state;
   StatusOr<RasaResult> first = optimizer.Optimize(
       *snapshot.cluster, snapshot.original_placement,
@@ -229,6 +292,9 @@ TEST(IncrementalOptimizeTest, FirstCallIsColdStartThenSteadyStateReuses) {
   EXPECT_FALSE(first->incremental);
   EXPECT_EQ(first->incremental_reason, "cold-start");
   EXPECT_EQ(first->reused_subproblems, 0);
+  EXPECT_EQ(solve_seconds.Scrape().count - samples,
+            first->subproblems.size());
+  samples = solve_seconds.Scrape().count;
   ASSERT_TRUE(state.valid);
 
   // Re-optimizing the optimizer's own output with unchanged inputs: every
@@ -239,6 +305,10 @@ TEST(IncrementalOptimizeTest, FirstCallIsColdStartThenSteadyStateReuses) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_TRUE(second->incremental);
   EXPECT_EQ(second->dirty_subproblems, 0);
+  ASSERT_GT(second->reused_subproblems, 0);
+  // Reused subproblems ran no solver, so they add no sample.
+  EXPECT_EQ(solve_seconds.Scrape().count - samples,
+            static_cast<uint64_t>(second->dirty_subproblems));
   EXPECT_EQ(second->reused_subproblems,
             static_cast<int>(second->subproblems.size()));
   EXPECT_EQ(second->new_placement.DiffCount(first->new_placement), 0);

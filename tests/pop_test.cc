@@ -68,7 +68,7 @@ TEST(PopSplitTest, UnionIsCapacitySoundAndRepriced) {
   options.max_services = 4;
   options.num_replicas = 2;
   PopStats pop;
-  PoolAttemptStats stats;
+  SolveAttempt stats;
   StatusOr<SubproblemSolution> solved = RunPoolAlgorithmPop(
       PoolAlgorithm::kCg, *cluster, sp, base, base,
       Deadline::AfterSeconds(10.0), /*seed=*/7, options, &stats, nullptr,
@@ -182,21 +182,22 @@ TEST(PopSplitTest, ReportsQualityLossAgainstCertificate) {
   double loss_sum = 0.0;
   for (size_t i = 0; i < result.subproblems.size(); ++i) {
     const SubproblemReport& report = result.subproblems[i];
-    const CertificateTerm& term = result.report.certificate.terms[i];
+    const LedgerRecord& rec = result.report.records[i];
     if (!report.used_pop) {
-      EXPECT_NE(term.source, "pop");
+      EXPECT_NE(rec.bound_source, "pop");
       continue;
     }
     ++seen;
     EXPECT_GE(report.pop_replicas, 2);
     EXPECT_GT(report.num_services, options.pop.max_services);
     // The term charges the trivial bound: POP never tightens.
-    EXPECT_EQ(term.source, "pop");
-    EXPECT_FALSE(term.tightened);
-    EXPECT_DOUBLE_EQ(term.bound, report.internal_affinity);
+    EXPECT_EQ(rec.bound_source, "pop");
+    EXPECT_FALSE(rec.bound_tightened);
+    EXPECT_DOUBLE_EQ(rec.certificate_bound, report.internal_affinity);
     // Quality loss is measured against exactly that bound.
     EXPECT_NEAR(report.pop_quality_loss,
-                std::max(0.0, term.bound - report.gained_affinity), 1e-9);
+                std::max(0.0, rec.certificate_bound - report.gained_affinity),
+                1e-9);
     EXPECT_GE(report.pop_cut_affinity, 0.0);
     loss_sum += report.pop_quality_loss;
   }
@@ -218,8 +219,8 @@ TEST(PopSplitTest, DefaultOptionsLeavePipelineUntouched) {
     EXPECT_FALSE(report.used_pop);
     EXPECT_EQ(report.pop_replicas, 0);
   }
-  for (const CertificateTerm& term : result.report.certificate.terms) {
-    EXPECT_NE(term.source, "pop");
+  for (const LedgerRecord& rec : result.report.records) {
+    EXPECT_NE(rec.bound_source, "pop");
   }
 }
 

@@ -95,7 +95,7 @@ TEST(ScaleSubstrateTest, M4PartitionAndSolveWithinMemoryBudget) {
   for (const Subproblem& sp : partition.subproblems) {
     if (sp.services.size() > largest->services.size()) largest = &sp;
   }
-  PoolAttemptStats stats;
+  SolveAttempt stats;
   StatusOr<SubproblemSolution> solved = RunPoolAlgorithm(
       PoolAlgorithm::kCg, *snapshot->cluster, *largest,
       partition.base_placement, snapshot->original_placement,
