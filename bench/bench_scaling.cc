@@ -25,7 +25,7 @@ int main() {
   using namespace rasa;
   using namespace rasa::bench;
 
-  PrintHeader("Scaling — parallel subproblem solving (work-stealing pool)",
+  PrintHeader("Scaling — parallel subproblem solving (fork-join pool)",
               "Optimize at 1/2/4/8 threads; placements must be bit-identical");
   const unsigned hw = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u\n", hw);

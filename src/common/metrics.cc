@@ -11,9 +11,8 @@ namespace {
 
 std::atomic<bool> g_metrics_enabled{true};
 
-// Relaxed CAS add for atomic<double>: every shard slot is written by (at
-// most a few) known threads and only summed on scrape, so relaxed ordering
-// is sufficient and TSan-clean.
+// Relaxed CAS add for atomic<double>: no reader orders other memory on a
+// metric value, so relaxed ordering is sufficient and TSan-clean.
 void AtomicAdd(std::atomic<double>& slot, double delta) {
   double cur = slot.load(std::memory_order_relaxed);
   while (!slot.compare_exchange_weak(cur, cur + delta,
@@ -58,18 +57,10 @@ void AppendHistogramJson(JsonWriter& w, const Histogram::Snapshot& h) {
 }
 
 // Per-thread stack of open span ids (for implicit parenting).
-thread_local std::vector<int64_t>* tls_span_stack = nullptr;
+thread_local std::vector<int64_t> tls_span_stack;
 
-std::vector<int64_t>& SpanStack() {
-  // Leaked per thread once; threads in this repo are long-lived pool
-  // workers, so the bounded leak keeps shutdown order trivial.
-  if (tls_span_stack == nullptr) tls_span_stack = new std::vector<int64_t>();
-  return *tls_span_stack;
-}
-
-// Small stable per-thread id for TraceEvent::tid. Unlike CurrentShardIndex
-// it is not folded mod kMetricShards, so distinct threads never alias in
-// the trace view.
+// Small stable per-thread id for TraceEvent::tid, in thread creation order,
+// so distinct threads never alias in the trace view.
 int CurrentTraceTid() {
   static std::atomic<int> next{0};
   thread_local const int tid = next.fetch_add(1, std::memory_order_relaxed);
@@ -84,27 +75,6 @@ bool MetricsEnabled() {
 
 void SetMetricsEnabled(bool enabled) {
   g_metrics_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-int CurrentShardIndex() {
-  static std::atomic<unsigned> next{0};
-  thread_local const unsigned id =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return static_cast<int>(id % static_cast<unsigned>(kMetricShards));
-}
-
-uint64_t Counter::Value() const {
-  uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void Counter::Reset() {
-  for (Shard& shard : shards_) {
-    shard.value.store(0, std::memory_order_relaxed);
-  }
 }
 
 int Histogram::BucketIndex(double value) {
@@ -124,11 +94,10 @@ double Histogram::BucketUpperBound(int bucket) {
 
 void Histogram::Observe(double value) {
   if (!MetricsEnabled()) return;
-  Shard& shard = shards_[CurrentShardIndex()];
-  shard.counts[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
-  AtomicAdd(shard.sum, value);
-  AtomicMin(shard.min, value);
-  AtomicMax(shard.max, value);
+  counts_[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+  AtomicAdd(sum_, value);
+  AtomicMin(min_, value);
+  AtomicMax(max_, value);
 }
 
 double Histogram::Snapshot::Quantile(double q) const {
@@ -159,28 +128,23 @@ double Histogram::Snapshot::Quantile(double q) const {
 
 Histogram::Snapshot Histogram::Scrape() const {
   Snapshot out;
-  for (const Shard& shard : shards_) {
-    for (int b = 0; b < kNumBuckets; ++b) {
-      const uint64_t n = shard.counts[b].load(std::memory_order_relaxed);
-      out.buckets[b] += n;
-      out.count += n;
-    }
-    out.sum += shard.sum.load(std::memory_order_relaxed);
-    out.min = std::min(out.min, shard.min.load(std::memory_order_relaxed));
-    out.max = std::max(out.max, shard.max.load(std::memory_order_relaxed));
+  for (int b = 0; b < kNumBuckets; ++b) {
+    out.buckets[b] = counts_[b].load(std::memory_order_relaxed);
+    out.count += out.buckets[b];
   }
+  out.sum = sum_.load(std::memory_order_relaxed);
+  out.min = min_.load(std::memory_order_relaxed);
+  out.max = max_.load(std::memory_order_relaxed);
   return out;
 }
 
 void Histogram::Reset() {
-  for (Shard& shard : shards_) {
-    for (auto& c : shard.counts) c.store(0, std::memory_order_relaxed);
-    shard.sum.store(0.0, std::memory_order_relaxed);
-    shard.min.store(std::numeric_limits<double>::infinity(),
-                    std::memory_order_relaxed);
-    shard.max.store(-std::numeric_limits<double>::infinity(),
-                    std::memory_order_relaxed);
-  }
+  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 void MetricsSnapshot::AppendJson(JsonWriter& w) const {
@@ -334,7 +298,7 @@ int64_t Tracer::Begin(const std::string& name, int64_t parent) {
   const double now = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - epoch_)
                          .count();
-  std::vector<int64_t>& stack = SpanStack();
+  std::vector<int64_t>& stack = tls_span_stack;
   int64_t id;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -357,7 +321,7 @@ void Tracer::End(int64_t id) {
   const double now = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - epoch_)
                          .count();
-  std::vector<int64_t>& stack = SpanStack();
+  std::vector<int64_t>& stack = tls_span_stack;
   // Stack discipline: spans end on their own thread in LIFO order; a
   // Reset() between Begin and End leaves the stack holding stale ids,
   // which the erase below tolerates.

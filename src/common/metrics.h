@@ -23,9 +23,9 @@ class JsonWriter;
 /// metric back, so placements and reports are bit-identical with metrics
 /// on/off and at every thread count (asserted by metrics_determinism_test).
 ///
-/// Write paths are lock-free and sharded: counters and histograms keep one
-/// cache-line-padded slot per thread shard and only aggregate on scrape, so
-/// the parallel subproblem hot path (PR 2) stays uncontended. Registry
+/// Write paths are lock-free: each counter and histogram is one slot of
+/// relaxed atomics. An Optimize call records tens of metric writes, so
+/// contention is immaterial and a scrape reads each atomic once. Registry
 /// lookups take a mutex — instrumented call sites cache the returned
 /// pointer (function-local static or member), which stays valid forever:
 /// the registry never deletes a metric, Reset() only zeroes values.
@@ -35,31 +35,18 @@ class JsonWriter;
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 
-/// Number of write shards per metric (power of two). Threads map onto
-/// shards round-robin by creation order; with <= kMetricShards live threads
-/// every thread owns its shard exclusively.
-inline constexpr int kMetricShards = 16;
-
-/// Stable shard index of the calling thread.
-int CurrentShardIndex();
-
 /// Monotonically increasing event count.
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
     if (!MetricsEnabled()) return;
-    shards_[CurrentShardIndex()].value.fetch_add(n,
-                                                 std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
-  /// Sum across shards (scrape side).
-  uint64_t Value() const;
-  void Reset();
+  uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
+  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Shard {
-    std::atomic<uint64_t> value{0};
-  };
-  std::array<Shard, kMetricShards> shards_;
+  std::atomic<uint64_t> value_{0};
 };
 
 /// Last-write-wins instantaneous value.
@@ -109,18 +96,14 @@ class Histogram {
     /// when the histogram is empty.
     double Quantile(double q) const;
   };
-  /// Aggregates all shards.
   Snapshot Scrape() const;
   void Reset();
 
  private:
-  struct alignas(64) Shard {
-    std::array<std::atomic<uint64_t>, kNumBuckets> counts{};
-    std::atomic<double> sum{0.0};
-    std::atomic<double> min{std::numeric_limits<double>::infinity()};
-    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
-  };
-  std::array<Shard, kMetricShards> shards_;
+  std::array<std::atomic<uint64_t>, kNumBuckets> counts_{};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Point-in-time aggregate of a whole registry; names are sorted, so two

@@ -1,7 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <exception>
 
 #include "common/metrics.h"
 #include "common/timer.h"
@@ -9,16 +10,22 @@
 namespace rasa {
 namespace {
 
-// Which pool (if any) the current thread is a worker of, and its index.
-// Used to route nested submissions onto the submitting worker's own deque
-// and to let ParallelFor help from the right deque.
-struct WorkerIdentity {
-  ThreadPool* pool = nullptr;
-  int index = -1;
-};
-thread_local WorkerIdentity tls_worker;
+// True while the current thread runs a ParallelFor index (of any pool); a
+// ParallelFor issued then runs inline instead of waiting for a pool whose
+// threads may all be inside the enclosing job.
+thread_local bool tls_in_task = false;
 
 }  // namespace
+
+struct ThreadPool::Job {
+  Job(const std::function<void(int)>& f, int count) : fn(&f), n(count) {}
+
+  const std::function<void(int)>* fn;
+  int n;
+  std::atomic<int> next{0};  // the next unclaimed index
+  int active = 0;            // workers inside the job
+  std::exception_ptr error;  // the first exception thrown
+};
 
 int ThreadPool::DefaultNumThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
@@ -27,145 +34,84 @@ int ThreadPool::DefaultNumThreads() {
 ThreadPool::ThreadPool(int num_threads) {
   MetricRegistry& registry = MetricRegistry::Default();
   tasks_metric_ = &registry.GetCounter("threadpool.tasks_executed");
-  steals_metric_ = &registry.GetCounter("threadpool.steals");
-  queue_depth_metric_ = &registry.GetHistogram("threadpool.queue_depth");
   idle_metric_ = &registry.GetHistogram("threadpool.idle_seconds");
   const int n = std::max(1, num_threads);
-  deques_.reserve(n);
-  for (int i = 0; i < n; ++i) deques_.push_back(std::make_unique<WorkDeque>());
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i]() { WorkerLoop(i); });
+    workers_.emplace_back([this]() { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(wake_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
   wake_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Schedule(std::function<void()> task) {
-  WorkDeque& target = tls_worker.pool == this
-                          ? *deques_[tls_worker.index]
-                          : injection_;
-  {
-    std::lock_guard<std::mutex> lock(target.mu);
-    target.tasks.push_back(std::move(task));
-  }
-  long depth;
-  {
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    depth = ++pending_;
-  }
-  wake_cv_.notify_one();
-  queue_depth_metric_->Observe(static_cast<double>(depth));
-}
-
-bool ThreadPool::TryAcquireTask(int self, std::function<void()>& out) {
-  auto pop_back = [&out](WorkDeque& d) {
-    std::lock_guard<std::mutex> lock(d.mu);
-    if (d.tasks.empty()) return false;
-    out = std::move(d.tasks.back());
-    d.tasks.pop_back();
-    return true;
-  };
-  auto pop_front = [&out](WorkDeque& d) {
-    std::lock_guard<std::mutex> lock(d.mu);
-    if (d.tasks.empty()) return false;
-    out = std::move(d.tasks.front());
-    d.tasks.pop_front();
-    return true;
-  };
-
-  bool found = false;
-  bool stolen = false;
-  // Own deque first (LIFO keeps nested fan-out cache-hot), then external
-  // submissions, then steal oldest-first from siblings.
-  if (self >= 0 && pop_back(*deques_[self])) found = true;
-  if (!found && pop_front(injection_)) found = true;
-  if (!found) {
-    const int n = static_cast<int>(deques_.size());
-    for (int off = 1; off <= n && !found; ++off) {
-      const int victim = ((self >= 0 ? self : 0) + off) % n;
-      if (victim == self) continue;
-      if (pop_front(*deques_[victim])) found = stolen = true;
+void ThreadPool::RunIndices(Job& job) {
+  const bool was_in_task = tls_in_task;
+  tls_in_task = true;
+  for (int i = job.next.fetch_add(1, std::memory_order_relaxed); i < job.n;
+       i = job.next.fetch_add(1, std::memory_order_relaxed)) {
+    try {
+      (*job.fn)(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!job.error) job.error = std::current_exception();
     }
-  }
-  if (found) {
     tasks_metric_->Increment();
-    if (stolen) steals_metric_->Increment();
-    std::lock_guard<std::mutex> lock(wake_mu_);
-    --pending_;
   }
-  return found;
+  tls_in_task = was_in_task;
 }
 
-void ThreadPool::WorkerLoop(int self) {
-  tls_worker = WorkerIdentity{this, self};
-  std::function<void()> task;
+void ThreadPool::WorkerLoop() {
+  uint64_t seen = 0;
   for (;;) {
-    if (TryAcquireTask(self, task)) {
-      task();
-      task = nullptr;
-      continue;
-    }
     const Stopwatch idle_timer;
+    Job* job;
     {
-      std::unique_lock<std::mutex> lock(wake_mu_);
-      wake_cv_.wait(lock, [this]() { return stopping_ || pending_ > 0; });
-      // Drain every queued task before honoring shutdown so futures of
-      // already-submitted work never break.
-      if (stopping_ && pending_ == 0) return;
+      std::unique_lock<std::mutex> lock(mu_);
+      wake_cv_.wait(lock, [&]() {
+        return stopping_ || (job_ != nullptr && generation_ != seen);
+      });
+      if (stopping_) return;
+      seen = generation_;
+      job = job_;
+      ++job->active;
     }
     idle_metric_->Observe(idle_timer.ElapsedSeconds());
+    RunIndices(*job);
+    // The caller frees the job once `active` drops to zero, so this is the
+    // worker's last touch of it.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--job->active == 0) done_cv_.notify_all();
   }
 }
 
 void ThreadPool::ParallelFor(int n, const std::function<void(int)>& fn) {
   if (n <= 0) return;
-  struct State {
-    std::mutex mu;
-    std::condition_variable done;
-    int remaining;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<State>();
-  state->remaining = n;
-
-  for (int i = 0; i < n; ++i) {
-    // `fn` outlives the tasks: ParallelFor blocks until remaining == 0.
-    Schedule([state, &fn, i]() {
-      std::exception_ptr error;
-      try {
-        fn(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(state->mu);
-      if (error && !state->error) state->error = error;
-      if (--state->remaining == 0) state->done.notify_all();
-    });
-  }
-
-  const int self = tls_worker.pool == this ? tls_worker.index : -1;
-  std::function<void()> task;
-  for (;;) {
-    if (TryAcquireTask(self, task)) {
-      // Help: the stolen task may belong to this loop or to any other work
-      // in flight — either way it moves the pool forward.
-      task();
-      task = nullptr;
-      continue;
+  Job job(fn, n);
+  // A single index needs no workers; a nested call must not wait for them.
+  if (n == 1 || tls_in_task) {
+    RunIndices(job);
+  } else {
+    const std::lock_guard<std::mutex> turn(caller_mu_);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      job_ = &job;
+      ++generation_;
     }
-    std::unique_lock<std::mutex> lock(state->mu);
-    if (state->remaining == 0) break;
-    state->done.wait(lock);
+    wake_cv_.notify_all();
+    RunIndices(job);
+    // Close the job to late wakers, then wait out the workers inside it.
+    std::unique_lock<std::mutex> lock(mu_);
+    job_ = nullptr;
+    done_cv_.wait(lock, [&]() { return job.active == 0; });
   }
-  if (state->error) std::rethrow_exception(state->error);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 }  // namespace rasa

@@ -2,13 +2,10 @@
 #define RASA_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace rasa {
@@ -16,14 +13,15 @@ namespace rasa {
 class Counter;
 class Histogram;
 
-/// Fixed-size worker pool with per-worker work-stealing deques.
+/// Fixed-size fork-join pool: one `ParallelFor` job at a time.
 ///
-/// Tasks submitted from outside the pool land on a shared injection queue;
-/// tasks submitted from inside a worker are pushed onto that worker's own
-/// deque (LIFO for the owner, so nested fan-out stays cache-hot). Idle
-/// workers drain their own deque first, then the injection queue, then steal
-/// from the back of a sibling's deque. All queues are mutex-protected (no
-/// lock-free tricks), which keeps the pool small and TSan-clean.
+/// The workers and the calling thread claim the job's indices in ascending
+/// order from a shared atomic cursor, so index 0 (the largest subproblem in
+/// the solve's canonical order) starts first. A `ParallelFor` issued from
+/// inside a running task runs inline on that thread; concurrent callers
+/// from outside the pool take turns. Results must not depend on which
+/// thread ran an index — every caller in this repo writes index-owned slots
+/// and merges them in index order.
 ///
 /// Deadlines stay cooperative: the pool never cancels a task, callers pass a
 /// `Deadline` into the task and the task checks it (the same contract every
@@ -42,54 +40,35 @@ class ThreadPool {
   /// The machine's hardware concurrency (>= 1).
   static int DefaultNumThreads();
 
-  /// Schedules `fn` and returns a future for its result. Safe to call from
-  /// inside pool tasks (nested submissions go to the caller's own deque).
-  template <typename F, typename R = std::invoke_result_t<F>>
-  std::future<R> Submit(F&& fn) {
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Schedule([task]() { (*task)(); });
-    return future;
-  }
-
-  /// Runs fn(0), ..., fn(n - 1) across the pool and blocks until all calls
-  /// have finished. The calling thread helps execute pool tasks while it
-  /// waits, so ParallelFor composes with nested ParallelFor calls and never
-  /// deadlocks on a saturated pool. Rethrows the first task exception.
+  /// Runs fn(0), ..., fn(n - 1) across the workers and the calling thread
+  /// and blocks until all calls have finished. Every index runs even when
+  /// one throws; the first exception is then rethrown.
   void ParallelFor(int n, const std::function<void(int)>& fn);
 
  private:
-  // One worker's deque. The owner pushes/pops at the back; thieves take
-  // from the front (FIFO steal order keeps stolen tasks coarse).
-  struct WorkDeque {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Job;
 
-  void Schedule(std::function<void()> task);
-  void WorkerLoop(int self);
-  // Pops one task for worker `self` (-1 for an external helper thread);
-  // returns false when no task is available anywhere.
-  bool TryAcquireTask(int self, std::function<void()>& out);
-
-  std::vector<std::unique_ptr<WorkDeque>> deques_;
-  WorkDeque injection_;  // external submissions
-  std::vector<std::thread> workers_;
+  void WorkerLoop();
+  // Claims and runs `job`'s indices until the cursor passes the end.
+  void RunIndices(Job& job);
 
   // Observability (cached registry handles; observation-only, see
-  // common/metrics.h). threadpool.queue_depth samples the pending count at
-  // every Schedule; threadpool.idle_seconds records each worker sleep.
+  // common/metrics.h): one count per index run, one idle sample per worker
+  // sleep.
   Counter* tasks_metric_ = nullptr;
-  Counter* steals_metric_ = nullptr;
-  Histogram* queue_depth_metric_ = nullptr;
   Histogram* idle_metric_ = nullptr;
 
-  // Sleep/wake machinery: pending_ counts queued-but-unstarted tasks.
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  long pending_ = 0;
+  std::mutex caller_mu_;  // held by the external caller whose job is open
+  // Guards job_, generation_, stopping_ and the open job's active/error.
+  std::mutex mu_;
+  std::condition_variable wake_cv_;  // a job was opened, or shutdown
+  std::condition_variable done_cv_;  // a worker left the open job
+  Job* job_ = nullptr;               // the open job; null between jobs
+  uint64_t generation_ = 0;          // bumped per opened job
   bool stopping_ = false;
+
+  // Last, so the workers start after everything they read exists.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace rasa

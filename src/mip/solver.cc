@@ -296,9 +296,6 @@ MipResult BranchAndBound::Solve() {
     RecordLpStats(lp);
     if (lp.warm_started) ++warm_started_nodes_;
     max_node_pivots_ = std::max(max_node_pivots_, lp.iterations);
-    if (options_.node_trace) {
-      options_.node_trace(nodes_, lp.iterations, lp.warm_started);
-    }
 
     if (lp.status == LpStatus::kInfeasible) {
       ApplyChanges(scratch, node->changes, /*undo=*/true);

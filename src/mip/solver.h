@@ -42,10 +42,6 @@ struct MipOptions {
   /// simplex repair in the revised solver). Purely a speed knob: any
   /// warm solve the solver cannot accept falls back to a cold solve.
   bool warm_start_nodes = true;
-  /// Observation hook invoked after every node LP solve with the node
-  /// ordinal (1-based, in exploration order), its simplex pivot count and
-  /// whether the solve reused the parent basis.
-  std::function<void(int node, int pivots, bool warm_started)> node_trace;
 };
 
 struct MipResult {

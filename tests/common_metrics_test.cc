@@ -1,5 +1,5 @@
 // Unit suite for the observability layer (src/common/metrics): counters,
-// gauges, log-scale histograms, the sharded write path under a parallel
+// gauges, log-scale histograms, concurrent writes under a parallel
 // burst, the registry, the tracer's span hierarchy, and the JSON export.
 //
 // The registry and tracer are process-wide singletons shared by every test
@@ -154,10 +154,10 @@ TEST(HistogramQuantileTest, MonotoneAndWithinLogBucketError) {
   EXPECT_LE(p99, 100.0);  // clamped to the observed max
 }
 
-// The shard-on-write invariant: after a parallel burst from a pool, the
-// scrape-side totals equal the number of observations — no lost updates,
-// and the per-shard bucket counts sum to the aggregate count.
-TEST(HistogramTest, ShardedWritesSumExactlyUnderParallelBurst) {
+// Concurrent writes lose nothing: after a parallel burst from a pool, the
+// scrape-side totals equal the number of observations and the bucket
+// counts sum to the aggregate count.
+TEST(HistogramTest, ConcurrentWritesSumExactlyUnderParallelBurst) {
   constexpr int kTasks = 10'000;
   MetricRegistry& reg = MetricRegistry::Default();
   Counter& counter = reg.GetCounter("test.burst_counter");

@@ -2,9 +2,18 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+
+// A ParallelFor job lives on the caller's stack frame, so a worker that
+// touches it after ParallelFor returned is a stack-use-after-return, which
+// ASan reports only with this option. Ignored by non-ASan builds; an
+// ASAN_OPTIONS environment variable still takes precedence.
+extern "C" const char* __asan_default_options() {
+  return "detect_stack_use_after_return=1";
+}
 
 namespace rasa {
 namespace {
@@ -13,21 +22,6 @@ TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
   ThreadPool pool(-3);
   EXPECT_EQ(pool.num_threads(), 1);
   EXPECT_GE(ThreadPool::DefaultNumThreads(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitReturnsFutureWithResult) {
-  ThreadPool pool(2);
-  std::future<int> a = pool.Submit([] { return 7; });
-  std::future<std::string> b = pool.Submit([] { return std::string("ok"); });
-  EXPECT_EQ(a.get(), 7);
-  EXPECT_EQ(b.get(), "ok");
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  std::future<int> f =
-      pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
@@ -49,20 +43,29 @@ TEST(ThreadPoolTest, ParallelForWithZeroOrNegativeCountIsNoop) {
   EXPECT_EQ(calls.load(), 0);
 }
 
+// Every index runs, even after one threw; then the first exception is
+// rethrown.
 TEST(ThreadPoolTest, ParallelForRethrowsTaskException) {
   ThreadPool pool(3);
-  EXPECT_THROW(pool.ParallelFor(64,
-                                [](int i) {
+  constexpr int kN = 64;
+  std::vector<std::atomic<int>> hits(kN);
+  for (auto& h : hits) h.store(0);
+  EXPECT_THROW(pool.ParallelFor(kN,
+                                [&](int i) {
+                                  hits[i].fetch_add(1);
                                   if (i == 13) {
                                     throw std::runtime_error("task 13");
                                   }
                                 }),
                std::runtime_error);
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
-// Workers submitting from inside tasks must not deadlock: nested
-// ParallelFor bodies are pushed onto the worker's own deque and the blocked
-// outer task helps drain them (work stealing covers the rest).
+// A ParallelFor issued from inside a running task runs inline on that
+// thread, so nesting never waits on a pool whose threads are all busy with
+// the outer job.
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   ThreadPool pool(2);
   std::atomic<int> total{0};
@@ -76,24 +79,49 @@ TEST(ThreadPoolTest, StressManySmallTasks) {
   ThreadPool pool(4);
   constexpr int kTasks = 20000;
   std::atomic<long> sum{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.Submit([&sum, i] { sum.fetch_add(i); }));
-  }
-  for (auto& f : futures) f.get();
+  pool.ParallelFor(kTasks, [&sum](int i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), static_cast<long>(kTasks) * (kTasks - 1) / 2);
 }
 
-TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
-  std::atomic<int> executed{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 256; ++i) {
-      pool.Submit([&executed] { executed.fetch_add(1); });
+// Back-to-back small jobs: a worker that wakes after its job returned must
+// neither touch that job (it lived on the caller's stack) nor run an index
+// of it twice. Under ASan a late touch is a stack-use-after-return.
+TEST(ThreadPoolTest, BackToBackSmallJobsRunEachIndexOnce) {
+  ThreadPool pool(4);
+  constexpr int kCalls = 5000;
+  for (int call = 0; call < kCalls; ++call) {
+    const int n = 2 + call % 7;
+    std::vector<std::atomic<int>> hits(n);
+    for (auto& h : hits) h.store(0);
+    pool.ParallelFor(n, [&](int i) { hits[i].fetch_add(1); });
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "call " << call << " index " << i;
     }
   }
-  EXPECT_EQ(executed.load(), 256);
+}
+
+// Two external threads share one pool: their jobs take turns, and each
+// index of each call runs exactly once.
+TEST(ThreadPoolTest, ConcurrentExternalCallersTakeTurns) {
+  ThreadPool pool(3);
+  constexpr int kCalls = 500;
+  constexpr int kN = 16;
+  auto caller = [&pool](std::atomic<int>* failures) {
+    for (int call = 0; call < kCalls; ++call) {
+      std::vector<std::atomic<int>> hits(kN);
+      for (auto& h : hits) h.store(0);
+      pool.ParallelFor(kN, [&](int i) { hits[i].fetch_add(1); });
+      for (auto& h : hits) {
+        if (h.load() != 1) failures->fetch_add(1);
+      }
+    }
+  };
+  std::atomic<int> failures{0};
+  std::thread a(caller, &failures);
+  std::thread b(caller, &failures);
+  a.join();
+  b.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -82,8 +82,8 @@ TEST(MetricsDeterminismTest, WorkflowCoversAllFiveSubsystems) {
   WorkflowOptions options;
   options.cycles = 2;
   options.rasa.timeout_seconds = 10.0;
-  // >= 2 threads so the thread pool's steal/queue metrics are exercised by
-  // a real worker pool.
+  // >= 2 threads so the thread pool's metrics are exercised by a real
+  // worker pool.
   options.rasa.num_threads = 4;
   options.seed = 7;
   StatusOr<WorkflowReport> report =
