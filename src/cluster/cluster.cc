@@ -87,7 +87,11 @@ Status Cluster::Validate() const {
         "affinity graph has %d vertices, expected %d services",
         affinity_.num_vertices(), num_services()));
   }
-  for (const AntiAffinityRule& rule : anti_affinity_) {
+  // A rule counts each listed service once per machine; a repeated member
+  // would be counted per listing by some readers and once by others.
+  std::vector<int> listed_by(num_services(), -1);  // last rule listing s
+  for (size_t k = 0; k < anti_affinity_.size(); ++k) {
+    const AntiAffinityRule& rule = anti_affinity_[k];
     if (rule.max_per_machine < 0) {
       return InvalidArgumentError("anti-affinity rule with negative limit");
     }
@@ -96,6 +100,11 @@ Status Cluster::Validate() const {
         return InvalidArgumentError(
             StrFormat("anti-affinity rule references unknown service %d", s));
       }
+      if (listed_by[s] == static_cast<int>(k)) {
+        return InvalidArgumentError(StrFormat(
+            "anti-affinity rule %zu lists service %d twice", k, s));
+      }
+      listed_by[s] = static_cast<int>(k);
     }
   }
   return Status::OK();

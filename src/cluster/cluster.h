@@ -85,7 +85,8 @@ class Cluster {
   std::vector<int> MachinesWithSpec(int spec_id) const;
 
   /// Structural validation: positive demands, matching resource dimensions,
-  /// sane anti-affinity rules, affinity graph sized to services.
+  /// sane anti-affinity rules (known services, each listed at most once),
+  /// affinity graph sized to services.
   Status Validate() const;
 
  private:

@@ -80,6 +80,22 @@ TEST(ClusterTest, ValidationCatchesBadRule) {
   EXPECT_FALSE(c.Validate().ok());
 }
 
+TEST(ClusterTest, ValidationCatchesRuleListingAServiceTwice) {
+  std::vector<Service> services = {{"a", 2, {1.0}, 0}, {"b", 2, {1.0}, 0}};
+  std::vector<Machine> machines = {{"m", 0, {4.0}, 0}};
+  Cluster c({"cpu"}, services, machines, AffinityGraph(2),
+            {{{0, 1}, 2}, {{1, 0, 1}, 2}});
+  const Status status = c.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("rule 1 lists service 1 twice"),
+            std::string::npos)
+      << status.ToString();
+  // Listing one service in two different rules is fine.
+  Cluster ok({"cpu"}, services, machines, AffinityGraph(2),
+             {{{0, 1}, 2}, {{1}, 1}});
+  EXPECT_TRUE(ok.Validate().ok());
+}
+
 // ------------------------------------------------------------ Placement ---
 
 TEST(PlacementTest, AddRemoveBookkeeping) {

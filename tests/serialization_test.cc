@@ -217,6 +217,26 @@ TEST(SerializationTest, RejectsDimensionMismatchedRows) {
   EXPECT_FALSE(DeserializeSnapshot(text).ok());
 }
 
+TEST(SerializationTest, RejectsRuleListingAServiceTwice) {
+  const std::string text =
+      "rasa-snapshot-v1\n"
+      "name t\n"
+      "resources 1 cpu\n"
+      "services 2\n"
+      "svc0 2 0 1.0\n"
+      "svc1 2 0 1.0\n"
+      "machines 1\n"
+      "m0 0 0 8.0\n"
+      "affinity 0\n"
+      "anti_affinity 1\n"
+      "3 3 0 1 0\n"  // limit 3, members {0, 1, 0}
+      "placement 0\n"
+      "end\n";
+  StatusOr<ClusterSnapshot> snapshot = DeserializeSnapshot(text);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(SerializationTest, RejectsPlacementOverCapacityTotals) {
   const std::string text =
       "rasa-snapshot-v1\n"
