@@ -70,7 +70,6 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
     case PoolAlgorithm::kCg: {
       CgOptions options;
       options.deadline = deadline;
-      options.seed = seed;
       result = SolveSubproblemCg(cluster, subproblem, base, original, options,
                                  &run.cg);
       run.has_cg = true;
