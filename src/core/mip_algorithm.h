@@ -37,7 +37,7 @@ struct SubproblemMipStats {
   /// Largest single node-LP pivot count.
   int max_node_pivots = 0;
   /// Basis refactorizations / longest eta file across all node LP solves
-  /// (both 0 when every node LP ran on the dense kernel).
+  /// (revised simplex).
   int refactorizations = 0;
   int max_eta_length = 0;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "common/logging.h"
 #include "common/strings.h"
 
 namespace rasa {
@@ -51,6 +52,77 @@ int LpModel::AddConstraint(ConstraintType type, double rhs,
   row_names_.push_back(std::move(name));
   columns_built_ = false;
   return num_constraints() - 1;
+}
+
+int LpModel::AddColumn(double lower, double upper, double objective,
+                       std::vector<SparseEntry> entries) {
+  const bool columns_were_built = columns_built_;
+  const int v = AddVariable(lower, upper, objective);
+  std::sort(entries.begin(), entries.end(),
+            [](const SparseEntry& a, const SparseEntry& b) {
+              return a.row < b.row;
+            });
+  entries.erase(std::remove_if(entries.begin(), entries.end(),
+                               [](const SparseEntry& e) {
+                                 return e.value == 0.0;
+                               }),
+                entries.end());
+  // v is the largest index, so every row's terms stay sorted.
+  for (const SparseEntry& e : entries) {
+    RASA_CHECK(e.row >= 0 && e.row < num_constraints());
+    rows_[e.row].push_back({v, e.value});
+  }
+  if (columns_were_built) {
+    col_entries_.insert(col_entries_.end(), entries.begin(), entries.end());
+    col_start_.push_back(static_cast<int>(col_entries_.size()));
+    columns_built_ = true;
+  }
+  return v;
+}
+
+std::vector<int> LpModel::RemoveVariables(const std::vector<char>& remove) {
+  const int n = num_variables();
+  RASA_CHECK(static_cast<int>(remove.size()) == n);
+  std::vector<int> new_index(n, -1);
+  int kept = 0;
+  for (int v = 0; v < n; ++v) {
+    if (remove[v]) continue;
+    new_index[v] = kept;
+    lower_[kept] = lower_[v];
+    upper_[kept] = upper_[v];
+    objective_[kept] = objective_[v];
+    integer_[kept] = integer_[v];
+    var_names_[kept] = std::move(var_names_[v]);
+    ++kept;
+  }
+  lower_.resize(kept);
+  upper_.resize(kept);
+  objective_.resize(kept);
+  integer_.resize(kept);
+  var_names_.resize(kept);
+  for (std::vector<LinearTerm>& row : rows_) {
+    size_t out = 0;
+    for (const LinearTerm& t : row) {
+      if (new_index[t.variable] >= 0) {
+        row[out++] = {new_index[t.variable], t.coefficient};
+      }
+    }
+    row.resize(out);
+  }
+  if (columns_built_) {
+    std::vector<int> start(1, 0);
+    std::vector<SparseEntry> entries;
+    start.reserve(kept + 1);
+    for (int v = 0; v < n; ++v) {
+      if (remove[v]) continue;
+      entries.insert(entries.end(), col_entries_.begin() + col_start_[v],
+                     col_entries_.begin() + col_start_[v + 1]);
+      start.push_back(static_cast<int>(entries.size()));
+    }
+    col_start_ = std::move(start);
+    col_entries_ = std::move(entries);
+  }
+  return new_index;
 }
 
 void LpModel::EnsureColumns() const {

@@ -43,6 +43,19 @@ class LpModel {
   int AddConstraint(ConstraintType type, double rhs,
                     std::vector<LinearTerm> terms, std::string name = "");
 
+  /// Adds a variable together with its nonzeros in existing rows
+  /// (`entries`: row, coefficient; each row at most once, zeros dropped).
+  /// Keeps a compiled column view valid, so a model grown one column at a
+  /// time, such as a column-generation master, never recompiles it.
+  /// Returns the variable's index.
+  int AddColumn(double lower, double upper, double objective,
+                std::vector<SparseEntry> entries);
+
+  /// Deletes every variable v with `remove[v]` set, with its terms; the
+  /// others keep their relative order, bounds, objective and name. Returns
+  /// each old variable's new index, or -1 for a deleted one.
+  std::vector<int> RemoveVariables(const std::vector<char>& remove);
+
   void SetObjectiveSense(ObjectiveSense sense) { sense_ = sense; }
   ObjectiveSense objective_sense() const { return sense_; }
 
@@ -83,8 +96,9 @@ class LpModel {
 
   /// Column-wise (CSC) view of the constraint matrix, the layout the
   /// revised simplex prices and FTRANs against. Compiled lazily from the
-  /// row-wise storage on first use and cached; adding a variable or a
-  /// constraint invalidates the cache, bound/objective edits do not.
+  /// row-wise storage on first use and cached; AddVariable and
+  /// AddConstraint invalidate the cache, AddColumn, RemoveVariables and
+  /// bound/objective edits keep it.
   /// Not safe to build concurrently from multiple threads (per-solve
   /// models are single-threaded scratch everywhere in this codebase).
   SparseColumnView column(int v) const {

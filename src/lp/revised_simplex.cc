@@ -22,8 +22,7 @@ constexpr double kUpdateTol = 1e-7;
 // periodic refactorization.
 constexpr int kRefactorInterval = 64;
 // Partial pricing engages only above this many priced columns; below it a
-// full Dantzig sweep costs the same and keeps pivot sequences aligned with
-// the dense tableau on the small models the test suites pin down.
+// full Dantzig sweep costs the same and picks the most violated column.
 constexpr int kPartialPricingMinColumns = 2048;
 // Columns examined per partial-pricing block.
 constexpr int kPricingBlock = 512;
@@ -34,9 +33,10 @@ enum class VarState : uint8_t { kBasic, kAtLower, kAtUpper, kFreeAtZero };
 // Revised simplex on the equality standard form
 //   min c'x  s.t.  A x = b,  l <= x <= u
 // with columns ordered [structural | slack | artificial]. Standard form,
-// cold start, pricing rules, ratio test and degeneracy control all mirror
-// the dense tableau in simplex.cc; only the basis-inverse representation
-// (eta file vs. dense matrix) and the warm-start machinery differ.
+// cold start, pricing rules and degeneracy control mirror the dense tableau
+// in simplex.cc; the basis-inverse representation (eta file vs. dense
+// matrix), the warm-start machinery and the ratio test's tie-break (logical
+// columns leave first) differ.
 class RevisedSimplex {
  public:
   RevisedSimplex(const LpModel& model, const LpOptions& options)
@@ -452,19 +452,28 @@ LpStatus RevisedSimplex::Iterate(bool phase_one) {
     fact_.FtranColumn(Column(entering), w_);
 
     // Ratio test: x_entering moves by entering_dir * t, basics move by
-    // -entering_dir * t * w. Identical rules to the dense tableau.
+    // -entering_dir * t * w. On a tie (|dt| <= 1e-12) a logical column
+    // (slack or artificial) leaves before a structural one, then the larger
+    // |w| wins. Keeping structurals basic on degenerate steps matters for
+    // column generation: a tight demand row whose slack stays basic at 0
+    // reports a zero dual and stops pricing early.
     double t_max = kInf;
     int leaving_pos = -1;
     double leaving_bound = 0.0;
+    auto leaves_before = [&](int k, double t) {
+      if (t < t_max - 1e-12) return true;
+      if (t >= t_max + 1e-12 || leaving_pos < 0) return false;
+      const bool logical = basis_[k] >= n_struct_;
+      if (logical != (basis_[leaving_pos] >= n_struct_)) return logical;
+      return std::abs(w_[k]) > std::abs(w_[leaving_pos]);
+    };
     for (int k = 0; k < m_; ++k) {
       const double rate = entering_dir * w_[k];
       const int bj = basis_[k];
       if (rate > kPivotTol) {
         if (lower_[bj] == -kInf) continue;
         const double t = (x_[bj] - lower_[bj]) / rate;
-        if (t < t_max - 1e-12 ||
-            (t < t_max + 1e-12 && leaving_pos >= 0 &&
-             std::abs(w_[k]) > std::abs(w_[leaving_pos]))) {
+        if (leaves_before(k, t)) {
           t_max = std::max(t, 0.0);
           leaving_pos = k;
           leaving_bound = lower_[bj];
@@ -472,9 +481,7 @@ LpStatus RevisedSimplex::Iterate(bool phase_one) {
       } else if (rate < -kPivotTol) {
         if (upper_[bj] == kInf) continue;
         const double t = (x_[bj] - upper_[bj]) / rate;
-        if (t < t_max - 1e-12 ||
-            (t < t_max + 1e-12 && leaving_pos >= 0 &&
-             std::abs(w_[k]) > std::abs(w_[leaving_pos]))) {
+        if (leaves_before(k, t)) {
           t_max = std::max(t, 0.0);
           leaving_pos = k;
           leaving_bound = upper_[bj];

@@ -533,11 +533,6 @@ LpResult SolveLpDenseTableau(const LpModel& model, const LpOptions& options) {
 }
 
 LpResult SolveLp(const LpModel& model, const LpOptions& options) {
-  if (options.dense_size_cutoff > 0 &&
-      model.num_constraints() <= options.dense_size_cutoff &&
-      model.num_variables() <= 2 * options.dense_size_cutoff) {
-    return SolveLpDenseTableau(model, options);
-  }
   LpResult result = SolveLpRevised(model, options);
   if (result.status == LpStatus::kError) {
     // The revised path never silently degrades an answer: on a numerical

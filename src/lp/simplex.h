@@ -59,20 +59,9 @@ struct LpOptions {
   /// this instead of restating a literal — keeping the two tied to one
   /// knob is what makes tightening `tolerance` safe.
   double FeasibilityTolerance() const { return 10.0 * tolerance; }
-  /// Size dispatch of SolveLp: models with at most this many rows (and at
-  /// most twice as many columns) run on the dense tableau, the rest on the
-  /// revised simplex. The dense kernel beats the factorization's constant
-  /// overhead at that size, and it lands on other optimal vertices of the
-  /// degenerate small relaxations: with 0 (every model revised), fig-9
-  /// RASA gained affinity on M3 at 1/16 drops from 0.8052 to 0.7338 at both
-  /// 2 s and 10 s budgets, while M2 and M4 gain under 0.01. Warm-start
-  /// tests set 0. Warm bases are only produced and consumed by the revised
-  /// kernel, so the warm-start chain restricts itself to models above the
-  /// cutoff.
-  int dense_size_cutoff = 64;
-  /// Optional warm start (revised simplex only; the dense path ignores
-  /// it). Must describe a basis for a model with the same rows. The
-  /// pointee is not retained past the SolveLp call.
+  /// Optional warm start (revised simplex only; the dense kError retry
+  /// ignores it). Must describe a basis for a model with the same rows.
+  /// The pointee is not retained past the SolveLp call.
   const LpBasis* warm_basis = nullptr;
   /// When non-null, receives the final basis of an optimal solve (left
   /// untouched otherwise). Revised simplex only.
@@ -106,15 +95,15 @@ struct LpResult {
   bool warm_started = false;
 };
 
-/// Solves the LP relaxation of `model`, dispatching by size (see
-/// LpOptions::dense_size_cutoff) and falling back to the dense tableau when
-/// the revised simplex reports kError. Integer markers on variables are
-/// ignored here.
+/// Solves the LP relaxation of `model` with the revised simplex, retrying
+/// on the dense tableau when the revised kernel reports kError. Integer
+/// markers on variables are ignored here.
 LpResult SolveLp(const LpModel& model, const LpOptions& options = {});
 
 /// The original dense-tableau two-phase simplex (explicit dense basis
-/// inverse). Ignores warm_basis/result_basis. The revised-simplex entry
-/// point lives in lp/revised_simplex.h.
+/// inverse): SolveLp's kError retry and the differential tests' oracle.
+/// Ignores warm_basis/result_basis. The revised-simplex entry point lives
+/// in lp/revised_simplex.h.
 LpResult SolveLpDenseTableau(const LpModel& model,
                              const LpOptions& options = {});
 

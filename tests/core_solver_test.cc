@@ -7,6 +7,7 @@
 #include "core/mip_algorithm.h"
 #include "core/partitioning.h"
 #include "core/selector.h"
+#include "golden_cg_inputs.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -282,6 +283,26 @@ TEST(CgTest, HonorsDeadline) {
       snapshot->original_placement, options, &stats);
   ASSERT_TRUE(solution.ok());
   EXPECT_TRUE(stats.hit_deadline);
+}
+
+TEST(CgTest, EveryMasterStartsWarmWithoutPhaseOne) {
+  // The slack crash basis is primal feasible and every later master starts
+  // from the previous optimal basis, so on the golden CG inputs no master
+  // solves cold and no master pivots in phase 1.
+  int masters = 0;
+  for (const testing::Carved& input : testing::CgInputs()) {
+    for (const Subproblem& sp : input.partition.subproblems) {
+      CgStats stats;
+      StatusOr<SubproblemSolution> solution = SolveSubproblemCg(
+          *input.snapshot.cluster, sp, input.partition.base_placement,
+          input.snapshot.original_placement, CgOptions(), &stats);
+      ASSERT_TRUE(solution.ok());
+      EXPECT_EQ(stats.master_warm_started, stats.master_solves);
+      EXPECT_EQ(stats.lp_phase1_iterations, 0);
+      masters += stats.master_solves;
+    }
+  }
+  EXPECT_GT(masters, 0);
 }
 
 // ------------------------------------------------------------ Selector ----

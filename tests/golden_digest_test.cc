@@ -70,7 +70,7 @@ TEST(GoldenDigestTest, ColdHeuristic) {
     const RasaResult r =
         RunOptimize(BaseOptions(), SelectorPolicy::kHeuristic, threads);
     EXPECT_EQ(r.greedy_fallbacks, 0);
-    EXPECT_EQ(DigestOf(r), "1e4e32c6138f6e86");
+    EXPECT_EQ(DigestOf(r), "10eb4009b33873dd");
   }
 }
 
@@ -82,7 +82,7 @@ TEST(GoldenDigestTest, PopSplit) {
     const RasaResult r =
         RunOptimize(options, SelectorPolicy::kHeuristic, threads);
     EXPECT_GT(r.pop_splits, 0);
-    EXPECT_EQ(DigestOf(r), "e1c90d7cff4a6340");
+    EXPECT_EQ(DigestOf(r), "a8cfbebc6ede8c13");
   }
 }
 
@@ -94,7 +94,7 @@ TEST(GoldenDigestTest, LocalSearch) {
     const RasaResult r =
         RunOptimize(options, SelectorPolicy::kHeuristic, threads);
     EXPECT_TRUE(r.report.local_search_ran);
-    EXPECT_EQ(DigestOf(r), "d8b3876812580395");
+    EXPECT_EQ(DigestOf(r), "f96f622ed1f8d049");
   }
 }
 
@@ -125,7 +125,7 @@ TEST(GoldenDigestTest, AlwaysMipHitsRowCap) {
     EXPECT_GT(r.solver_failures, 0);
     EXPECT_GT(r.secondary_successes, 0);
     EXPECT_GT(r.breaker_skips, 0);
-    EXPECT_EQ(DigestOf(r), "03cd7f763b64acfe");
+    EXPECT_EQ(DigestOf(r), "7f18b8f2cc30c801");
   }
 }
 
@@ -202,7 +202,7 @@ TEST(GoldenDigestTest, IncrementalCycles) {
     EXPECT_GT(dirty_reusing, 0);
     EXPECT_EQ(reasons.front(), "cold-start");
     EXPECT_EQ(reasons.back(), "drift-threshold");
-    EXPECT_EQ(testing::Fnv1a(w.str()), "9fab858f1858a5f7");
+    EXPECT_EQ(testing::Fnv1a(w.str()), "684794fda5798523");
   }
 }
 

@@ -223,7 +223,7 @@ TEST(GoldenWorkflowDigestTest, FaultFree) {
     const std::string digest = DigestOfRun(options, "", threads, &report);
     EXPECT_GT(report.executions, 0);
     EXPECT_EQ(report.commands_failed, 0);
-    EXPECT_EQ(digest, "fca167dfa3fbfddb");
+    EXPECT_EQ(digest, "6dffdb04a4e174eb");
   }
 }
 
@@ -241,16 +241,20 @@ TEST(GoldenWorkflowDigestTest, Chaos) {
     options.faults.cordon_duration_cycles = 2;
     options.faults.stale_snapshot_drift = 0.02;
     options.faults.optimizer_failure_probability = 0.2;
-    options.faults.seed = 555;
+    // Whether a cycle stops short of its target depends on which commands
+    // fail; under this fault seed some cycle does, and one optimizer call
+    // fails.
+    options.faults.seed = 562;
     WorkflowReport report;
     const std::string digest = DigestOfRun(options, "chaos", threads, &report);
     EXPECT_GT(report.command_retries, 0);
     EXPECT_EQ(report.cordons_fired, 1);
     EXPECT_GT(report.replans, 0);
     EXPECT_GT(report.partial_executions, 0);
+    EXPECT_GT(report.solver_failures, 0);
     EXPECT_EQ(report.sla_violations, 0);
     EXPECT_EQ(report.feasibility_violations, 0);
-    EXPECT_EQ(digest, "c4aa7c1292bbe1ee");
+    EXPECT_EQ(digest, "646db0fa24585030");
   }
 }
 
@@ -267,7 +271,7 @@ TEST(GoldenWorkflowDigestTest, DurableIncremental) {
     int reused = 0;
     for (const CycleReport& c : report.cycles) reused += c.reused_subproblems;
     EXPECT_GT(reused, 0);
-    EXPECT_EQ(digest, "1173e0e4a6299fee");
+    EXPECT_EQ(digest, "a1816c70bece2232");
   }
 }
 
@@ -280,7 +284,7 @@ TEST(GoldenWorkflowDigestTest, CrashMidCommand) {
     const std::string digest = DigestOfCrashAndResume(
         "mid_command", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.commands_rolled_forward, 0);
-    EXPECT_EQ(digest, "ca27618930590df8");
+    EXPECT_EQ(digest, "a2e585832f7be9ff");
   }
 }
 
@@ -293,7 +297,7 @@ TEST(GoldenWorkflowDigestTest, CrashMidBatch) {
     const std::string digest = DigestOfCrashAndResume(
         "mid_batch", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.commands_applied_pre_crash, 0);
-    EXPECT_EQ(digest, "e4e307100042f3cb");
+    EXPECT_EQ(digest, "3bffd963b1714386");
   }
 }
 
@@ -306,7 +310,7 @@ TEST(GoldenWorkflowDigestTest, CrashMidDrift) {
     const std::string digest = DigestOfCrashAndResume(
         "mid_drift", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.drift_moves_rolled_forward, 0);
-    EXPECT_EQ(digest, "1ed37fc2b0239231");
+    EXPECT_EQ(digest, "53294690a3200aae");
   }
 }
 
@@ -319,7 +323,7 @@ TEST(GoldenWorkflowDigestTest, CrashBeforeCheckpoint) {
     const std::string digest = DigestOfCrashAndResume(
         "pre_checkpoint", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.cycles_completed_from_journal, 0);
-    EXPECT_EQ(digest, "23df34021a6f97e2");
+    EXPECT_EQ(digest, "01533f85b41fcc85");
   }
 }
 
@@ -340,7 +344,7 @@ TEST(GoldenWorkflowDigestTest, IncrementalCrashBeforeCheckpoint) {
     int reused = 0;
     for (const CycleReport& c : resumed.cycles) reused += c.reused_subproblems;
     EXPECT_GT(reused, 0);
-    EXPECT_EQ(digest, "21085c42cda34176");
+    EXPECT_EQ(digest, "ce866ff6f64bddcd");
   }
 }
 
@@ -358,7 +362,7 @@ TEST(GoldenWorkflowDigestTest, CrashUnderCordon) {
     const std::string digest = DigestOfCrashAndResume(
         "cordon", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.phases_abandoned, 0);
-    EXPECT_EQ(digest, "21847ffde9957eaa");
+    EXPECT_EQ(digest, "4ab07777145be305");
   }
 }
 
@@ -373,8 +377,8 @@ TEST(GoldenWorkflowDigestTest, TruncatedJournalTail) {
     size_t cut_back;
     const char* digest;
   };
-  for (const Case& c : {Case{7, 19, "3834ed0140b69f73"},
-                        Case{12, 100, "733609f0e348c1fb"}}) {
+  for (const Case& c : {Case{7, 19, "d1561ae893a283a3"},
+                        Case{12, 100, "b84719399990e48d"}}) {
     for (int threads : kThreadCounts) {
       SCOPED_TRACE(::testing::Message() << c.cut_back << " bytes cut, "
                                         << threads << " threads");

@@ -374,6 +374,60 @@ TEST(SimplexTest, ManyPivotsStayNumericallyInBounds) {
   }
   EXPECT_TRUE(m.CheckFeasible(r.primal, 1e-5).ok());
 }
+TEST(SimplexTest, SlackLeavesFirstOnDegenerateTie) {
+  // max z  s.t.  y + z = 0,  z <= 0, started from the basis {y, slack of
+  // row 1}, both at 0. z enters and both basics reach their bound at
+  // t = 0 with |w| = 1: the slack leaves, the structural y stays basic.
+  LpModel m;
+  m.SetObjectiveSense(ObjectiveSense::kMaximize);
+  const int y = m.AddVariable(0, kLpInfinity, 0.0);
+  const int z = m.AddVariable(0, kLpInfinity, 1.0);
+  m.AddConstraint(ConstraintType::kEqual, 0.0, {{y, 1.0}, {z, 1.0}});
+  m.AddConstraint(ConstraintType::kLessEqual, 0.0, {{z, 1.0}});
+  const int n = m.num_variables();
+  LpBasis start;
+  start.basic = {y, n + 1};
+  start.state = {LpVarStatus::kBasic, LpVarStatus::kAtLower,
+                 LpVarStatus::kAtLower, LpVarStatus::kBasic};
+  LpBasis final_basis;
+  LpOptions options;
+  options.warm_basis = &start;
+  options.result_basis = &final_basis;
+  LpResult r = SolveLp(m, options);
+  ASSERT_EQ(r.status, LpStatus::kOptimal);
+  EXPECT_TRUE(r.warm_started);
+  EXPECT_EQ(r.phase1_iterations, 0);
+  ASSERT_EQ(final_basis.state.size(), 4u);
+  EXPECT_EQ(final_basis.state[y], LpVarStatus::kBasic);
+  EXPECT_EQ(final_basis.state[z], LpVarStatus::kBasic);
+  EXPECT_NE(final_basis.state[n + 1], LpVarStatus::kBasic);
+}
+
+TEST(LpModelTest, AddColumnAndRemoveVariablesKeepColumnsInStep) {
+  LpModel m;
+  m.AddConstraint(ConstraintType::kEqual, 1.0, {});
+  m.AddConstraint(ConstraintType::kLessEqual, 4.0, {});
+  const int a = m.AddColumn(0, 1, 1.0, {{1, 2.0}, {0, 1.0}});
+  m.column(a);  // compile the column view, which AddColumn must keep valid
+  const int b = m.AddColumn(0, 1, 2.0, {{0, 1.0}, {1, 0.0}});
+  const int c = m.AddColumn(0, 1, 3.0, {{0, 1.0}, {1, 3.0}});
+  ASSERT_EQ(m.column(b).size, 1);
+  ASSERT_EQ(m.column(c).size, 2);
+  EXPECT_EQ(m.column(c).data[1].row, 1);
+  EXPECT_TRUE(m.Validate().ok());
+
+  const std::vector<int> new_index = m.RemoveVariables({0, 1, 0});
+  EXPECT_EQ(new_index, (std::vector<int>{0, -1, 1}));
+  ASSERT_EQ(m.num_variables(), 2);
+  EXPECT_DOUBLE_EQ(m.objective_coefficient(1), 3.0);
+  ASSERT_EQ(m.constraint_terms(1).size(), 2u);
+  EXPECT_EQ(m.constraint_terms(1)[1].variable, 1);
+  EXPECT_DOUBLE_EQ(m.constraint_terms(1)[1].coefficient, 3.0);
+  ASSERT_EQ(m.column(1).size, 2);
+  EXPECT_DOUBLE_EQ(m.column(1).data[1].value, 3.0);
+  EXPECT_TRUE(m.Validate().ok());
+}
+
 TEST(SimplexTest, DeadlineIsHonored) {
   LpOptions options;
   options.deadline = Deadline::AfterSeconds(0.0);

@@ -114,13 +114,11 @@ TEST(MipWarmStartTest, NodeRelaxationsMatchColdSolves) {
     }
 
     LpOptions cold_opts;
-    cold_opts.dense_size_cutoff = 0;  // force the revised kernel
     LpBasis cold_basis;
     cold_opts.result_basis = &cold_basis;
     const LpResult cold = SolveLp(scratch, cold_opts);
 
     LpOptions warm_opts;
-    warm_opts.dense_size_cutoff = 0;
     if (node.parent_basis != nullptr) {
       warm_opts.warm_basis = node.parent_basis.get();
       ++warm_eligible;
@@ -184,7 +182,6 @@ TEST(MipWarmStartTest, WarmSearchEngagesAndSavesPivots) {
   auto run = [&](bool warm) {
     MipOptions options;
     options.warm_start_nodes = warm;
-    options.lp_options.dense_size_cutoff = 0;  // force the revised kernel
     options.max_nodes = 60;
     options.relative_gap = 1e-4;  // the pool's production gap
     return SolveMip(model, options);

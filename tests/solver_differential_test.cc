@@ -174,9 +174,7 @@ TEST(SolverDifferentialTest, DegenerateTransportAgrees) {
 // The revised kernel must report its factorization telemetry.
 TEST(SolverDifferentialTest, RevisedReportsFactorizationStats) {
   LpModel m = RandomModel(3);
-  LpOptions opts;
-  opts.dense_size_cutoff = 0;
-  LpResult r = SolveLp(m, opts);
+  LpResult r = SolveLp(m);
   EXPECT_GE(r.refactorizations, 1);
   EXPECT_GE(r.max_eta_length, 0);
   EXPECT_FALSE(r.warm_started);

@@ -163,15 +163,25 @@ TEST(WorkflowRecoveryTest, CrashMidCommandInFirstCycle) {
 
 TEST(WorkflowRecoveryTest, CrashMidCommandInLaterCycle) {
   for (int threads : kThreadCounts) {
-    // Land mid-way through cycle 1's execution: past all of cycle 0's
-    // commands (taken from the baseline report) plus half of cycle 1's.
+    // Land mid-way through the execution of the first cycle after cycle 0
+    // that moves at least two containers (a cycle whose predicted gain is
+    // under the execution threshold is a dry run): past all earlier
+    // commands (taken from the baseline report) plus half of its own.
     const WorkflowReport& baseline = Baseline(threads);
-    ASSERT_GE(baseline.cycles.size(), 2u);
-    const long c0 = baseline.cycles[0].moved_containers;
-    const long c1 = baseline.cycles[1].moved_containers;
-    ASSERT_GT(c1, 1);
+    long before = baseline.cycles.empty()
+                      ? 0
+                      : baseline.cycles[0].moved_containers;
+    long moved = 0;
+    for (size_t c = 1; c < baseline.cycles.size(); ++c) {
+      if (baseline.cycles[c].moved_containers >= 2) {
+        moved = baseline.cycles[c].moved_containers;
+        break;
+      }
+      before += baseline.cycles[c].moved_containers;
+    }
+    ASSERT_GE(moved, 2) << "no later cycle moves two containers";
     FaultInjectionOptions faults;
-    faults.crash_after_commands = c0 + c1 / 2;
+    faults.crash_after_commands = before + moved / 2;
     CheckCrashRecovery("mid_command_late", threads, faults);
   }
 }
