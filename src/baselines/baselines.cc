@@ -137,7 +137,7 @@ StatusOr<BaselineResult> RunPop(const Cluster& cluster,
                          std::max(1, partitions);
     StatusOr<SubproblemSolution> solution = RunPoolAlgorithm(
         PoolAlgorithm::kMip, cluster, sp, working, current,
-        deadline.ClampedToSeconds(std::max(0.02, share)), rng.Next());
+        deadline.ClampedToSeconds(std::max(0.02, share)));
     std::vector<int> placed(N, 0);
     if (!solution.ok()) {
       // Solver ran out of time/memory on this subcluster: greedy fallback,

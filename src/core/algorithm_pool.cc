@@ -57,7 +57,7 @@ const char* AttemptOutcomeToString(AttemptOutcome outcome) {
 StatusOr<SubproblemSolution> RunPoolAlgorithm(
     PoolAlgorithm algorithm, const Cluster& cluster,
     const Subproblem& subproblem, const Placement& base,
-    const Placement& original, const Deadline& deadline, uint64_t seed,
+    const Placement& original, const Deadline& deadline,
     SolveAttempt* attempt, const Placement* mip_incumbent) {
   PoolMetrics& metrics = MetricsFor(algorithm);
   metrics.picks.Increment();
@@ -95,7 +95,6 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
     case PoolAlgorithm::kMip: {
       MipAlgorithmOptions options;
       options.deadline = deadline;
-      options.seed = seed;
       options.incumbent_hint = mip_incumbent;
       result = SolveSubproblemMip(cluster, subproblem, base, options, &run.mip);
       run.has_mip = true;

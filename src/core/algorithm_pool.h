@@ -54,12 +54,12 @@ struct SolveAttempt {
 StatusOr<SubproblemSolution> RunPoolAlgorithm(
     PoolAlgorithm algorithm, const Cluster& cluster,
     const Subproblem& subproblem, const Placement& base,
-    const Placement& original, const Deadline& deadline, uint64_t seed = 29,
+    const Placement& original, const Deadline& deadline,
     SolveAttempt* attempt = nullptr,
     const Placement* mip_incumbent = nullptr);
 
 /// True iff RunPoolAlgorithm on `subproblem` returns an error, whatever
-/// the placements, deadline and seed: CG never does (it falls back to the
+/// the placements and deadline: CG never does (it falls back to the
 /// greedy), and MIP does exactly when its model is over the row cap.
 bool PoolAlgorithmFails(PoolAlgorithm algorithm, const Cluster& cluster,
                         const Subproblem& subproblem);

@@ -20,7 +20,6 @@ struct LocalSearchOptions {
   /// single-container moves. Swaps escape capacity-tight local optima that
   /// moves alone cannot.
   bool enable_swaps = true;
-  uint64_t seed = 17;
 };
 
 struct LocalSearchStats {

@@ -636,8 +636,6 @@ void LocalSearchStage(const Cluster& cluster, const RasaOptions& options,
   const TraceSpan span("local_search");
   LocalSearchOptions ls;
   ls.deadline = deadline;
-  // Own stream, independent of how many solver seeds were drawn.
-  ls.seed = Rng(options.seed ^ kStreamSalt).Next();
   explain.local_search = RefinePlacement(cluster, working, ls);
   explain.local_search_ran = true;
 }

@@ -49,18 +49,20 @@ SelectorDataset GenerateSelectorDataset(
         if (produced >= options.num_samples) break;
         if (sp.services.empty() || sp.machines.empty()) continue;
         LabeledSample sample;
+        // Two draws per sample: the later partition draws, and so the
+        // training set, depend on them.
+        rng.Next();
+        rng.Next();
         const Deadline deadline =
             Deadline::AfterSeconds(options.label_timeout_seconds);
         StatusOr<SubproblemSolution> cg = RunPoolAlgorithm(
             PoolAlgorithm::kCg, *snapshot->cluster, sp,
-            partition.base_placement, snapshot->original_placement, deadline,
-            rng.Next());
+            partition.base_placement, snapshot->original_placement, deadline);
         const Deadline deadline2 =
             Deadline::AfterSeconds(options.label_timeout_seconds);
         StatusOr<SubproblemSolution> mip = RunPoolAlgorithm(
             PoolAlgorithm::kMip, *snapshot->cluster, sp,
-            partition.base_placement, snapshot->original_placement, deadline2,
-            rng.Next());
+            partition.base_placement, snapshot->original_placement, deadline2);
         sample.cg_objective = cg.ok() ? cg->gained_affinity : -1.0;
         sample.mip_objective = mip.ok() ? mip->gained_affinity : -1.0;
         // Label by objective; exact ties go to MIP (its answer is certified
