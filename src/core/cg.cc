@@ -457,8 +457,8 @@ bool CgSolver::SolveMaster(std::vector<double>& y, std::vector<double>& pi,
   if (lp.status == LpStatus::kOptimal && !final_basis.empty()) {
     basis_ = std::move(final_basis);
   } else {
-    // Interrupted, or answered by the dense retry: restart from the crash
-    // basis, which every master admits.
+    // Interrupted or failed: restart from the crash basis, which every
+    // master admits.
     CrashBasis();
   }
   if (lp.status != LpStatus::kOptimal &&

@@ -45,13 +45,12 @@ struct CgStats {
   int lp_phase1_iterations = 0;
   /// Master solves that started from a supplied basis: the slack crash
   /// basis for the first master, the previous optimal basis after that.
-  /// Equal to master_solves unless the revised kernel failed and the dense
-  /// tableau answered a master.
+  /// Equal to master_solves unless the kernel rejected a basis and solved
+  /// that master cold.
   int master_warm_started = 0;
-  /// Basis refactorizations summed over all master solves (revised
-  /// simplex).
+  /// Basis refactorizations summed over all master solves.
   int refactorizations = 0;
-  /// Longest eta file reached in any master solve (revised simplex).
+  /// Longest eta file reached in any master solve.
   int max_eta_length = 0;
 };
 

@@ -44,7 +44,7 @@ void RecordMipMetrics(const MipResult& result) {
   if (result.has_solution()) gap.Observe(result.Gap());
   nodes.Observe(static_cast<double>(result.nodes_explored));
   iterations.Observe(static_cast<double>(result.lp_iterations));
-  // Solver-core (revised simplex) introspection: warm-start hit rate is
+  // Solver-core introspection: warm-start hit rate is
   // solver.warm_started_nodes / solver.bnb_nodes on the scrape side.
   static Counter& warm_nodes = reg.GetCounter("solver.warm_started_nodes");
   static Counter& bnb_nodes = reg.GetCounter("solver.bnb_nodes");

@@ -59,12 +59,11 @@ struct LpOptions {
   /// this instead of restating a literal — keeping the two tied to one
   /// knob is what makes tightening `tolerance` safe.
   double FeasibilityTolerance() const { return 10.0 * tolerance; }
-  /// Optional warm start (revised simplex only; the dense kError retry
-  /// ignores it). Must describe a basis for a model with the same rows.
-  /// The pointee is not retained past the SolveLp call.
+  /// Optional warm start. Must describe a basis for a model with the same
+  /// rows. The pointee is not retained past the SolveLp call.
   const LpBasis* warm_basis = nullptr;
   /// When non-null, receives the final basis of an optimal solve (left
-  /// untouched otherwise). Revised simplex only.
+  /// untouched otherwise).
   LpBasis* result_basis = nullptr;
 };
 
@@ -86,26 +85,42 @@ struct LpResult {
   int phase1_iterations = 0;
   /// Pivots spent optimizing the real objective.
   int phase2_iterations = 0;
-  /// Revised simplex: basis refactorizations performed (>= 1 per solve).
+  /// Basis refactorizations performed (>= 1 per solve).
   int refactorizations = 0;
-  /// Revised simplex: longest eta file reached between refactorizations.
+  /// Longest eta file reached between refactorizations.
   int max_eta_length = 0;
   /// True when a supplied warm basis was actually used (valid and accepted
   /// by the warm-start protocol) rather than falling back to a cold start.
   bool warm_started = false;
 };
 
-/// Solves the LP relaxation of `model` with the revised simplex, retrying
-/// on the dense tableau when the revised kernel reports kError. Integer
-/// markers on variables are ignored here.
+/// Solves the LP relaxation of `model` (integer markers on variables are
+/// ignored) with a bounded-variable two-phase sparse revised simplex over
+/// the equality standard form (columns [structural | slack | artificial]).
+/// The basis inverse is an eta-file product-form factorization
+/// (linalg/sparse.h). Per pivot it does one BTRAN (duals), a sparse
+/// pricing sweep, one FTRAN (entering column) and a single eta append; the
+/// factorization is rebuilt every 64 updates or earlier when a pivot
+/// element is too small to update on safely.
+///
+/// Warm starts (LpOptions::warm_basis): the basis is validated against the
+/// current model, bound changes are absorbed by coercing nonbasic columns
+/// onto still-existing bounds, and then
+///   - a primal-feasible basis goes straight to phase-2 primal pivots
+///     (the column-generation case: appended columns price in), while
+///   - a dual-feasible basis is repaired with bounded-variable dual
+///     simplex pivots (the branch-and-bound case: a child node tightens
+///     bounds, so the parent basis stays dual feasible);
+/// anything else falls back to a cold start, so correctness never depends
+/// on the warm path. Results are extracted from a fresh refactorization of
+/// the final basis, so the reported numbers depend only on that basis and
+/// not on the pivot history — a warm-started solve that ends in the same
+/// basis as a cold one returns bit-identical values.
+///
+/// kError means an invalid model or a numerical failure (a basis that
+/// will not refactorize); the result then carries no primal or duals, and
+/// callers treat the solve as unfinished.
 LpResult SolveLp(const LpModel& model, const LpOptions& options = {});
-
-/// The original dense-tableau two-phase simplex (explicit dense basis
-/// inverse): SolveLp's kError retry and the differential tests' oracle.
-/// Ignores warm_basis/result_basis. The revised-simplex entry point lives
-/// in lp/revised_simplex.h.
-LpResult SolveLpDenseTableau(const LpModel& model,
-                             const LpOptions& options = {});
 
 }  // namespace rasa
 

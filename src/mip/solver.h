@@ -39,7 +39,7 @@ struct MipOptions {
   /// heuristic to manufacture incumbents early. <= 0 disables diving.
   int dive_frequency = 16;
   /// Warm-start child node LPs from the parent's optimal basis (dual
-  /// simplex repair in the revised solver). Purely a speed knob: any
+  /// simplex repair). Purely a speed knob: any
   /// warm solve the solver cannot accept falls back to a cold solve.
   bool warm_start_nodes = true;
 };
@@ -69,9 +69,9 @@ struct MipResult {
   /// Largest single node-LP pivot count (the root usually dominates once
   /// warm starts shrink the interior nodes to a handful of pivots).
   int max_node_pivots = 0;
-  /// Basis refactorizations summed over all LP solves (revised simplex).
+  /// Basis refactorizations summed over all LP solves.
   int refactorizations = 0;
-  /// Longest eta file reached in any LP solve (revised simplex).
+  /// Longest eta file reached in any LP solve.
   int max_eta_length = 0;
 
   bool has_solution() const {
