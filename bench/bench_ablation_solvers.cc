@@ -18,6 +18,7 @@
 // Machine-readable output: BENCH_ablation_solvers.json.
 
 #include <algorithm>
+#include <optional>
 
 #include "bench_util.h"
 #include "core/cg.h"
@@ -120,7 +121,7 @@ int main() {
   // ---- MIP warm starts: parent basis reuse across B&B nodes ----------
   // The largest subproblem model of M1 at 1/48, 1/40 and 1/32 scale (the
   // fig-10 scales, independent of RASA_BENCH_SCALE) within 200-1200 rows.
-  std::vector<SubproblemMip> models;
+  std::optional<SubproblemMip> largest;  // kept while scanning
   for (const double scale : {48.0, 40.0, 32.0}) {
     StatusOr<ClusterSnapshot> fig10 = GenerateCluster(M1Spec(scale));
     RASA_CHECK(fig10.ok()) << fig10.status().ToString();
@@ -134,17 +135,14 @@ int main() {
       if (!mip.ok()) continue;
       const int rows = mip->model.num_constraints();
       if (rows < 200 || rows > 1200) continue;
-      models.push_back(std::move(mip).value());
+      if (largest && rows <= largest->model.num_constraints()) continue;
+      largest = std::move(mip).value();
     }
   }
-  std::sort(models.begin(), models.end(),
-            [](const SubproblemMip& a, const SubproblemMip& b) {
-              return a.model.num_constraints() > b.model.num_constraints();
-            });
 
   int cold_nodes = 0, warm_nodes = 0;
-  if (!models.empty()) {
-    const LpModel& model = models.front().model;
+  if (largest) {
+    const LpModel& model = largest->model;
     std::printf("\nB&B warm starts on the largest model (%d rows, %d cols):\n",
                 model.num_constraints(), model.num_variables());
     std::printf("%-22s %10s %8s %12s %10s\n", "variant", "seconds", "nodes",

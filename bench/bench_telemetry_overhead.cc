@@ -1,10 +1,10 @@
-// Telemetry overhead bench (not a paper figure): wall-clock cost of the
-// continuous-telemetry pipeline on the bench_scaling reference instance
-// (M1 at the bench scale), measured as whole workflow runs in three modes:
+// Telemetry overhead bench (not a paper figure): wall-clock cost of
+// continuous telemetry on the bench_scaling reference instance (M1 at the
+// bench scale), measured as whole workflow runs in three modes:
 //   off      — telemetry disabled (the baseline)
-//   on       — the in-process pipeline: series appends, SLO burn-rate
-//              evaluation, anomaly detectors, traffic-quantile estimation
-//   journal  — the pipeline plus the JSONL journal (one fsync per cycle)
+//   on       — in process: the traffic-quantile estimate of the live
+//              placement and the SLO burn-rate / anomaly verdict fold
+//   journal  — on, plus one JSONL sample line per cycle (one fsync each)
 //
 // Protocol: `reps` interleaved off/on/journal runs (interleaving cancels
 // thermal / cache drift), each `cycles` control-loop cycles with the same
@@ -14,7 +14,7 @@
 //   1. Determinism — all three tracks end on bit-identical final
 //      placements, every rep. Always asserted, even in smoke mode.
 //   2. Overhead — the mean "on" run is <= 3% above "off". The gate is on
-//      the in-process pipeline; the journal track is reported alongside
+//      the in-process track; the journal track is reported alongside
 //      but not gated, because its cost is a fixed per-cycle fsync latency
 //      that only looms large against sub-second smoke cycles (production
 //      cycles run minutes). Skipped under RASA_BENCH_NO_THRESHOLD (tiny
@@ -47,7 +47,7 @@ WorkflowOptions BaseOptions() {
 }  // namespace
 
 int main() {
-  PrintHeader("Telemetry overhead — continuous-operation pipeline",
+  PrintHeader("Telemetry overhead — continuous-operation telemetry",
               "workflow runs with telemetry off vs on vs on+journal");
 
   ClusterSpec spec = M1Spec(BenchScale());
@@ -109,7 +109,7 @@ int main() {
           if (!cr.telemetry.populated) {
             std::fprintf(stderr,
                          "FAIL: a telemetry-on cycle carried no verdicts — "
-                         "pipeline was not exercised\n");
+                         "telemetry was not exercised\n");
             return 1;
           }
         }
@@ -148,7 +148,7 @@ int main() {
                  100.0 * on_overhead);
     return 1;
   }
-  std::printf("overhead threshold (<= 3%% on the pipeline track): PASS "
+  std::printf("overhead threshold (<= 3%% on the in-process track): PASS "
               "(%+.2f%%)\n",
               100.0 * on_overhead);
   return 0;

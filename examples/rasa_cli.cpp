@@ -164,9 +164,10 @@ constexpr CommandSpec kCommands[] = {
      "classification of any in-flight migration commands."},
     {"tail", kTail, 1, 1, "<telemetry-dir>",
      "Render the per-cycle telemetry journal written by\n"
-     "`workflow --telemetry-dir=DIR` as a cycle table with SLO burn-rate\n"
-     "and anomaly columns. With --follow, keeps polling the journal and\n"
-     "appends new cycles as the workflow writes them (live tailing)."},
+     "`workflow --telemetry-dir=DIR` as a cycle table, with the SLO\n"
+     "burn-rate and anomaly columns folded from the recorded samples.\n"
+     "With --follow, keeps polling the journal and appends new cycles as\n"
+     "the workflow writes them (live tailing). A malformed line exits 1."},
 };
 
 struct FlagSpec {
@@ -240,10 +241,10 @@ const FlagSpec kFlags[] = {
        return true;
      }},
     {"--telemetry-dir", kWorkflow, "DIR",
-     "continuous telemetry: per-cycle SLO/anomaly evaluation recorded\n"
-     "into each cycle report, a JSONL journal streamed to\n"
-     "DIR/telemetry.jsonl (fsync per line — `rasa_cli tail DIR` can\n"
-     "follow a live run), and an OpenMetrics exposition of the registry\n"
+     "continuous telemetry: per-cycle SLO/anomaly verdicts in each cycle\n"
+     "report, one sample per cycle streamed to DIR/telemetry.jsonl\n"
+     "(fsync per line — `rasa_cli tail DIR` can follow a live run; a\n"
+     "--resume replays it), and an OpenMetrics exposition of the registry\n"
      "written to DIR/metrics.om after the run.",
      [](CliConfig& c, const std::string& v) {
        if (v.empty()) return false;
@@ -799,38 +800,20 @@ int Explain(const CliConfig& config) {
 
 // --- tail -----------------------------------------------------------------
 
-// Number/bool accessors that treat missing or mistyped keys as defaults:
-// the journal may be mid-write (torn last line) or from a newer schema.
-double JournalNumber(const JsonValue& line, const char* key) {
-  const JsonValue* v = line.Get(key);
-  return (v != nullptr && v->kind == JsonValue::Kind::kNumber) ? v->number
-                                                               : 0.0;
-}
-
-bool JournalFlag(const JsonValue& line, const char* key) {
-  const JsonValue* v = line.Get(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kBool && v->boolean;
-}
-
 // Worst SLO alert across the cycle plus its burn rates, e.g.
-// "latency_p99:page f=28.8 s=7.2"; "ok" when every objective is green.
-std::string WorstSloCell(const JsonValue& line) {
-  const JsonValue* slo = line.Get("slo");
-  if (slo == nullptr || slo->kind != JsonValue::Kind::kArray) return "-";
+// "latency_p50:page f=28.8 s=7.2"; "ok" when every objective is green.
+std::string WorstSloCell(const CycleTelemetry& verdicts) {
   int worst_rank = 0;
   std::string cell = "ok";
-  for (const JsonValue& status : slo->array) {
-    const JsonValue* alert = status.Get("alert");
-    const JsonValue* name = status.Get("name");
-    if (alert == nullptr || alert->kind != JsonValue::Kind::kString) continue;
-    int rank = 0;
-    if (alert->string == "fast-burn" || alert->string == "slow-burn") rank = 1;
-    if (alert->string == "page") rank = 2;
-    if (rank == 0 || rank <= worst_rank) continue;
+  for (const SloStatus& status : verdicts.slo) {
+    const int rank = status.alert == SloAlertState::kPage  ? 2
+                     : status.alert == SloAlertState::kOk ? 0
+                                                           : 1;
+    if (rank <= worst_rank) continue;
     worst_rank = rank;
-    cell = (name != nullptr ? name->string : "?") + ":" + alert->string +
-           StrFormat(" f=%.1f s=%.1f", JournalNumber(status, "fast_burn"),
-                     JournalNumber(status, "slow_burn"));
+    cell = status.name + ":" + SloAlertStateName(status.alert) +
+           StrFormat(" f=%.1f s=%.1f", status.fast_burn_rate,
+                     status.slow_burn_rate);
   }
   return cell;
 }
@@ -840,35 +823,31 @@ void PrintTailHeader() {
               "affinity", "gap", "p99", "err", "status", "anom", "slo");
 }
 
-void PrintTailRow(const JsonValue& line) {
+void PrintTailRow(const CycleSample& sample, const CycleTelemetry& verdicts) {
   const char* status = "dry-run";
-  if (JournalFlag(line, "executed")) status = "executed";
-  if (JournalFlag(line, "rolled_back")) status = "rolled-back";
-  if (JournalFlag(line, "solver_failed")) status = "solver-fail";
+  if (sample.executed) status = "executed";
+  if (sample.rolled_back) status = "rolled-back";
+  if (sample.solver_failed) status = "solver-fail";
   std::string anom;
-  const JsonValue* cost = line.Get("cost_anomaly");
-  const JsonValue* gap = line.Get("gap_anomaly");
-  if (cost != nullptr && JournalFlag(*cost, "anomalous")) anom += "C";
-  if (gap != nullptr && JournalFlag(*gap, "anomalous")) anom += "G";
+  if (verdicts.cost.anomalous) anom += "C";
+  if (verdicts.gap.anomalous) anom += "G";
   if (anom.empty()) anom = "-";
   std::printf("%5d %8.2f %9.4f %9.6f %8.4f %9.6f %-12s %-6s %s\n",
-              static_cast<int>(JournalNumber(line, "cycle")),
-              JournalNumber(line, "seconds"),
-              JournalNumber(line, "gained_affinity"),
-              JournalNumber(line, "optimality_gap"),
-              JournalNumber(line, "latency_p99"),
-              JournalNumber(line, "error_rate"), status, anom.c_str(),
-              WorstSloCell(line).c_str());
+              sample.cycle, sample.seconds, sample.gained_affinity,
+              sample.optimality_gap, sample.latency_p99, sample.error_rate,
+              status, anom.c_str(), WorstSloCell(verdicts).c_str());
 }
 
-// Renders `<dir>/telemetry.jsonl` as a cycle table; with --follow, keeps
-// polling for appended lines (the journal is fsync'd per line, so a tail
-// sees complete records plus at most one torn line, which is retried on
-// the next poll once its newline lands).
+// Renders `<dir>/telemetry.jsonl` as a cycle table, folding each recorded
+// sample into its verdicts; with --follow, keeps polling for appended
+// lines (the journal is fsync'd per line, so a tail sees complete records
+// plus at most one torn line, which is read on the next poll once its
+// newline lands). A malformed line fails the tail: the verdicts after it
+// would not be the run's.
 int Tail(const CliConfig& config) {
   const std::string path = config.args[0] + "/telemetry.jsonl";
-  size_t offset = 0;      // bytes of the journal already rendered
-  bool printed_any = false;
+  TelemetryPipeline fold;
+  size_t printed = 0;  // samples already folded and rendered
   for (;;) {
     StatusOr<std::string> content = ReadFileToString(path);
     if (!content.ok()) {
@@ -879,31 +858,26 @@ int Tail(const CliConfig& config) {
       }
       // --follow before the run opened the journal: wait for it to appear.
     } else {
-      while (offset < content->size()) {
-        const size_t newline = content->find('\n', offset);
-        if (newline == std::string::npos) break;  // torn line, retry later
-        const std::string record = content->substr(offset, newline - offset);
-        offset = newline + 1;
-        if (record.empty()) continue;
-        StatusOr<JsonValue> line = ParseJson(record);
-        if (!line.ok()) {
-          std::fprintf(stderr, "tail: skipping malformed line: %s\n",
-                       line.status().ToString().c_str());
-          continue;
-        }
-        if (!printed_any) {
-          PrintTailHeader();
-          printed_any = true;
-        }
-        PrintTailRow(*line);
+      StatusOr<std::vector<CycleSample>> samples =
+          ParseTelemetryJournal(*content);
+      if (!samples.ok()) {
+        std::fprintf(stderr, "tail: %s: %s\n", path.c_str(),
+                     samples.status().ToString().c_str());
+        return 1;
+      }
+      for (; printed < samples->size(); ++printed) {
+        if (printed == 0) PrintTailHeader();
+        const CycleSample& sample = (*samples)[printed];
+        PrintTailRow(sample, fold.RecordCycle(sample));
       }
       std::fflush(stdout);
     }
     if (!config.follow) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
   }
-  if (!printed_any) std::printf("(no complete journal lines in %s)\n",
-                                path.c_str());
+  if (printed == 0) {
+    std::printf("(no complete journal lines in %s)\n", path.c_str());
+  }
   return 0;
 }
 

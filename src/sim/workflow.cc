@@ -5,6 +5,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/durable_io.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -160,6 +161,10 @@ class WorkflowRunner {
   Status CycleTail(int cycle, CycleReport cr, Stopwatch& timer,
                    const JournalRecord* drift_rec, const Placement* pre_drift);
   Status WriteCheckpoint(int next_cycle);
+  // Opens `<telemetry_dir>/telemetry.jsonl`: truncated on a fresh run; on
+  // resume, cut to the cycles before start_cycle_, which are replayed
+  // through the fold first.
+  Status OpenTelemetryJournal();
   // The run's counters with the chaos totals of this invocation added.
   WorkflowCounters CurrentCounters() const;
   // Appends a `type` record for `cycle` to the write-ahead journal of a
@@ -180,8 +185,8 @@ class WorkflowRunner {
   WorkflowReport report_;
   Placement live_;
   Rng rng_;
-  // Telemetry pipeline (null when disabled) + the previous cycle's scrape
-  // the per-cycle registry delta is computed against.
+  // Telemetry verdict fold (null when disabled) + the previous cycle's
+  // scrape the per-cycle registry delta is computed against.
   std::unique_ptr<TelemetryPipeline> telemetry_;
   JsonlWriter telemetry_journal_;
   MetricsSnapshot prev_scrape_;
@@ -283,6 +288,43 @@ Status WorkflowRunner::InitResume() {
   return Status::OK();
 }
 
+Status WorkflowRunner::OpenTelemetryJournal() {
+  RASA_RETURN_IF_ERROR(EnsureDirectory(options_.telemetry_dir));
+  const std::string path = options_.telemetry_dir + "/telemetry.jsonl";
+  if (!options_.resume) {
+    std::remove(path.c_str());  // fresh runs own the journal
+  } else {
+    // The checkpoint covers the cycles before start_cycle_: replay their
+    // samples through the fold and drop any later line, which belongs to a
+    // cycle this run redoes (one the crash cut before its checkpoint).
+    StatusOr<std::string> content = ReadFileToString(path);
+    std::vector<CycleSample> samples;
+    if (content.ok()) {
+      StatusOr<std::vector<CycleSample>> decoded =
+          ParseTelemetryJournal(*content);
+      if (!decoded.ok()) {
+        return InvalidArgumentError(StrFormat(
+            "%s: %s", path.c_str(), decoded.status().message().c_str()));
+      }
+      samples = *std::move(decoded);
+    } else if (content.status().code() != StatusCode::kNotFound) {
+      return content.status();
+    }
+    std::string kept;
+    for (const CycleSample& sample : samples) {
+      if (sample.cycle >= start_cycle_) break;
+      telemetry_->RecordCycle(sample);
+      kept += CycleSampleJson(sample) + "\n";
+    }
+    RASA_RETURN_IF_ERROR(AtomicWriteFile(path, kept));
+  }
+  if (!telemetry_journal_.Open(path)) {
+    return InternalError(
+        StrFormat("cannot open telemetry journal '%s'", path.c_str()));
+  }
+  return Status::OK();
+}
+
 Status WorkflowRunner::CycleTail(int cycle, CycleReport cr, Stopwatch& timer,
                                  const JournalRecord* drift_rec,
                                  const Placement* pre_drift) {
@@ -301,9 +343,12 @@ Status WorkflowRunner::CycleTail(int cycle, CycleReport cr, Stopwatch& timer,
     prev_scrape_ = std::move(current);
   }
   if (telemetry_ != nullptr) {
-    // live_ here is the post-execution, pre-drift placement — the state the
-    // cluster actually serves traffic from until the next cycle.
-    const TrafficQuantiles traffic = EstimateTrafficQuantiles(cluster_, live_);
+    // The post-execution, pre-drift placement — the state the cluster
+    // actually serves traffic from until the next cycle. That is live_,
+    // except in a recovered cycle whose drift had started before the crash:
+    // there it is the pre-drift placement recovery rebuilt.
+    const TrafficQuantiles traffic = EstimateTrafficQuantiles(
+        cluster_, drift_rec != nullptr ? *pre_drift : live_);
     CycleSample sample;
     sample.cycle = cycle;
     sample.seconds = cr.seconds;
@@ -326,8 +371,7 @@ Status WorkflowRunner::CycleTail(int cycle, CycleReport cr, Stopwatch& timer,
     sample.solver_failed = cr.solver_failed;
     cr.telemetry = telemetry_->RecordCycle(sample);
     if (telemetry_journal_.is_open()) {
-      telemetry_journal_.Append(
-          TelemetryPipeline::JournalLine(sample, cr.telemetry));
+      telemetry_journal_.Append(CycleSampleJson(sample));
     }
   }
   report_.cycles.push_back(std::move(cr));
@@ -702,22 +746,6 @@ StatusOr<WorkflowReport> WorkflowRunner::Run() {
     solver_pool_ = std::make_unique<ThreadPool>(solver_threads);
   }
 
-  TelemetryOptions telemetry_options = options_.telemetry;
-  if (!options_.telemetry_dir.empty()) telemetry_options.enabled = true;
-  if (telemetry_options.enabled) {
-    telemetry_ = std::make_unique<TelemetryPipeline>(telemetry_options);
-    if (!options_.telemetry_dir.empty()) {
-      RASA_RETURN_IF_ERROR(EnsureDirectory(options_.telemetry_dir));
-      const std::string journal_path =
-          options_.telemetry_dir + "/telemetry.jsonl";
-      // Fresh runs own the journal; resumed runs append where they left off.
-      if (!options_.resume) std::remove(journal_path.c_str());
-      if (!telemetry_journal_.Open(journal_path)) {
-        return InternalError(StrFormat("cannot open telemetry journal '%s'",
-                                       journal_path.c_str()));
-      }
-    }
-  }
   if (MetricsEnabled()) {
     prev_scrape_ = MetricRegistry::Default().Scrape();
   }
@@ -730,6 +758,14 @@ StatusOr<WorkflowReport> WorkflowRunner::Run() {
       RASA_RETURN_IF_ERROR(InitResume());
     } else {
       RASA_RETURN_IF_ERROR(InitDurableFresh());
+    }
+  }
+  // Opened after InitResume, which sets the start_cycle_ a resumed journal
+  // is cut at.
+  if (options_.telemetry.enabled || !options_.telemetry_dir.empty()) {
+    telemetry_ = std::make_unique<TelemetryPipeline>();
+    if (!options_.telemetry_dir.empty()) {
+      RASA_RETURN_IF_ERROR(OpenTelemetryJournal());
     }
   }
 

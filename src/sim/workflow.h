@@ -78,16 +78,19 @@ struct WorkflowOptions {
   /// incremental mode with exact measurement or raise
   /// `rasa.delta.weight_tolerance` to cover the noise band.
   bool incremental = false;
-  /// Continuous-telemetry pipeline (see common/telemetry.h): per-cycle
-  /// time series, SLO burn-rate evaluation, and anomaly detection, with the
-  /// verdicts attached to each CycleReport. Strictly observation-only:
+  /// Continuous telemetry (see common/telemetry.h): each cycle's
+  /// CycleSample is folded into SLO burn-rate and anomaly verdicts, which
+  /// are attached to its CycleReport. Strictly observation-only:
   /// placements are bit-identical with telemetry on or off at every thread
   /// count (telemetry_determinism_test).
   TelemetryOptions telemetry;
-  /// When non-empty, enables telemetry and streams one JSONL journal line
-  /// per cycle to `<telemetry_dir>/telemetry.jsonl` (fsync per line via the
-  /// logging JsonlWriter, so `rasa_cli tail` can follow a live run). A
-  /// fresh (non-resume) run truncates the journal; a resumed run appends.
+  /// When non-empty, enables telemetry and records each cycle's sample as
+  /// one JSONL line of `<telemetry_dir>/telemetry.jsonl` (fsync per line via
+  /// the logging JsonlWriter, so `rasa_cli tail` can follow a live run). A
+  /// fresh (non-resume) run truncates the journal. A resumed run cuts it to
+  /// the cycles its checkpoint covers, replays those samples through the
+  /// fold, and appends; a malformed line fails the resume. Without a
+  /// telemetry dir nothing was recorded, so a resumed fold starts empty.
   std::string telemetry_dir;
   uint64_t seed = 99;
 };
@@ -144,10 +147,12 @@ struct CycleReport {
   /// counters and histogram counts are per-cycle deltas and gauges are the
   /// cycle-end values. Empty when metrics are disabled.
   MetricsSnapshot metrics;
-  /// Per-cycle telemetry verdicts (SLO statuses + anomaly flags); populated
-  /// only when WorkflowOptions::telemetry is enabled. The cost-anomaly
-  /// fields derive from wall-clock cycle seconds — determinism comparisons
-  /// strip them like any other timing field.
+  /// Per-cycle telemetry verdicts (SLO statuses + anomaly flags): the fold
+  /// over this run's samples, and on resume the recorded samples before
+  /// it; populated only when telemetry is enabled. The cost-anomaly fields
+  /// derive from wall-clock cycle seconds — determinism comparisons strip
+  /// them like any other timing field. A `recovered` cycle has no optimizer
+  /// report, so its sample reads gap and dirty/reused counts as 0.
   CycleTelemetry telemetry;
 };
 
@@ -173,7 +178,7 @@ struct WorkflowReport : WorkflowCounters {
 /// `rho * ipc_latency + (1 - rho) * rpc_latency` where rho is the edge's
 /// localization ratio, and analogously for error rates. The quantiles are
 /// weighted by traffic share. A pure function of (cluster, placement), so
-/// feeding it into telemetry keeps the pipeline deterministic.
+/// feeding it into telemetry keeps the verdicts deterministic.
 struct TrafficQuantiles {
   double p50 = 0.0;
   double p95 = 0.0;

@@ -1,10 +1,12 @@
-// Unit suite for the continuous-telemetry layer (src/common/telemetry):
-// ring-buffer time series, multi-window SLO burn rates, the EWMA + z-score
-// anomaly detector, the per-cycle pipeline + JSONL journal schema, the
-// OpenMetrics and Chrome trace-event exporters, and the strict JSON reader
-// that backs `rasa_cli tail` and the schema tests below.
+// Unit suite for the continuous-telemetry layer (src/common/telemetry): the
+// verdict fold (multi-window SLO burn rates with the stock objectives, the
+// EWMA + z-score anomaly verdicts), the JSONL journal's sample encoding and
+// its decoder, the OpenMetrics and Chrome trace-event exporters, and the
+// strict JSON reader beneath the decoder.
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,194 +20,10 @@
 namespace rasa {
 namespace {
 
-// --- TimeSeries ------------------------------------------------------------
+// --- The verdict fold: SLO burn rates ------------------------------------
 
-TEST(TimeSeriesTest, EmptySeriesIsNaN) {
-  TimeSeries series(4);
-  EXPECT_EQ(series.size(), 0);
-  EXPECT_TRUE(std::isnan(series.Latest()));
-  EXPECT_TRUE(std::isnan(series.WindowMean(3)));
-}
-
-TEST(TimeSeriesTest, RingKeepsTheNewestCapacityPoints) {
-  TimeSeries series(3);
-  for (int i = 1; i <= 5; ++i) series.Append(i);
-  EXPECT_EQ(series.size(), 3);
-  EXPECT_EQ(series.capacity(), 3);
-  EXPECT_EQ(series.total_appended(), 5);
-  // Oldest-first: 3, 4, 5 (1 and 2 fell off the front).
-  EXPECT_EQ(series.At(0), 3.0);
-  EXPECT_EQ(series.At(1), 4.0);
-  EXPECT_EQ(series.At(2), 5.0);
-  EXPECT_EQ(series.Latest(), 5.0);
-  EXPECT_EQ(series.Values(), (std::vector<double>{3.0, 4.0, 5.0}));
-}
-
-TEST(TimeSeriesTest, WindowMeanUsesTheNewestPoints) {
-  TimeSeries series(8);
-  for (double v : {1.0, 2.0, 3.0, 4.0}) series.Append(v);
-  EXPECT_DOUBLE_EQ(series.WindowMean(2), 3.5);
-  // Window larger than the retained data falls back to the full series.
-  EXPECT_DOUBLE_EQ(series.WindowMean(100), 2.5);
-}
-
-TEST(TimeSeriesStoreTest, GetOrCreateAndSortedNames) {
-  TimeSeriesStore store(16);
-  store.Append("zeta", 1.0);
-  store.Append("alpha", 2.0);
-  store.Append("zeta", 3.0);
-  EXPECT_EQ(store.Names(), (std::vector<std::string>{"alpha", "zeta"}));
-  ASSERT_NE(store.Find("zeta"), nullptr);
-  EXPECT_EQ(store.Find("zeta")->size(), 2);
-  EXPECT_EQ(store.Find("missing"), nullptr);
-}
-
-// --- SLO burn rates --------------------------------------------------------
-
-SloObjective TestObjective() {
-  SloObjective o;
-  o.name = "lat";
-  o.series = "lat";
-  o.comparison = SloComparison::kLessThan;
-  o.threshold = 1.0;
-  o.budget_fraction = 0.5;  // half the cycles may violate sustainably
-  o.fast_window = 2;
-  o.slow_window = 6;
-  o.fast_burn_threshold = 1.5;
-  o.slow_burn_threshold = 1.2;
-  return o;
-}
-
-TEST(SloTrackerTest, HealthySeriesStaysOk) {
-  TimeSeriesStore store(16);
-  SloTracker tracker({TestObjective()});
-  for (int i = 0; i < 6; ++i) {
-    store.Append("lat", 0.5);
-    const std::vector<SloStatus> statuses = tracker.Evaluate(store);
-    ASSERT_EQ(statuses.size(), 1u);
-    EXPECT_TRUE(statuses[0].has_value);
-    EXPECT_FALSE(statuses[0].violated);
-    EXPECT_EQ(statuses[0].alert, SloAlertState::kOk);
-    EXPECT_EQ(statuses[0].fast_burn_rate, 0.0);
-  }
-}
-
-TEST(SloTrackerTest, BurnLadderFastThenPage) {
-  TimeSeriesStore store(16);
-  SloTracker tracker({TestObjective()});
-  // Six healthy cycles fill the slow window with zeros.
-  for (int i = 0; i < 6; ++i) {
-    store.Append("lat", 0.5);
-    tracker.Evaluate(store);
-  }
-  // Two violating cycles: fast window burns at 1/0.5 = 2.0 (> 1.5) but the
-  // slow window is still 2/6 / 0.5 = 0.67 (< 1.2) -> fast-burn only.
-  store.Append("lat", 2.0);
-  std::vector<SloStatus> statuses = tracker.Evaluate(store);
-  EXPECT_TRUE(statuses[0].violated);
-  store.Append("lat", 2.0);
-  statuses = tracker.Evaluate(store);
-  EXPECT_EQ(statuses[0].alert, SloAlertState::kFastBurn);
-  EXPECT_DOUBLE_EQ(statuses[0].fast_burn_rate, 2.0);
-  // Keep violating until the slow window crosses too: page (both hot).
-  for (int i = 0; i < 4; ++i) {
-    store.Append("lat", 2.0);
-    statuses = tracker.Evaluate(store);
-  }
-  EXPECT_EQ(statuses[0].alert, SloAlertState::kPage);
-  EXPECT_DOUBLE_EQ(statuses[0].slow_burn_rate, 2.0);
-}
-
-TEST(SloTrackerTest, RecoveryDrainsTheFastWindowFirst) {
-  TimeSeriesStore store(16);
-  SloTracker tracker({TestObjective()});
-  std::vector<SloStatus> statuses;
-  for (int i = 0; i < 6; ++i) {
-    store.Append("lat", 2.0);
-    statuses = tracker.Evaluate(store);
-  }
-  EXPECT_EQ(statuses[0].alert, SloAlertState::kPage);
-  // Two healthy cycles empty the 2-cycle fast window; the slow window is
-  // still 4/6 / 0.5 = 1.33 (> 1.2) -> slow-burn, the "budget already
-  // spent" tail of an incident.
-  for (int i = 0; i < 2; ++i) {
-    store.Append("lat", 0.5);
-    statuses = tracker.Evaluate(store);
-  }
-  EXPECT_EQ(statuses[0].alert, SloAlertState::kSlowBurn);
-  EXPECT_EQ(statuses[0].fast_burn_rate, 0.0);
-}
-
-TEST(SloTrackerTest, MissingSeriesNeverCountsAsViolation) {
-  TimeSeriesStore store(16);
-  SloTracker tracker({TestObjective()});
-  const std::vector<SloStatus> statuses = tracker.Evaluate(store);
-  ASSERT_EQ(statuses.size(), 1u);
-  EXPECT_FALSE(statuses[0].has_value);
-  EXPECT_TRUE(std::isnan(statuses[0].value));
-  EXPECT_FALSE(statuses[0].violated);
-  EXPECT_EQ(statuses[0].alert, SloAlertState::kOk);
-}
-
-TEST(SloTrackerTest, GreaterThanComparison) {
-  SloObjective o = TestObjective();
-  o.comparison = SloComparison::kGreaterThan;  // e.g. "affinity must stay up"
-  TimeSeriesStore store(16);
-  SloTracker tracker({o});
-  store.Append("lat", 0.5);  // below the 1.0 floor: violated
-  std::vector<SloStatus> statuses = tracker.Evaluate(store);
-  EXPECT_TRUE(statuses[0].violated);
-  store.Append("lat", 2.0);
-  statuses = tracker.Evaluate(store);
-  EXPECT_FALSE(statuses[0].violated);
-}
-
-// --- Anomaly detection -----------------------------------------------------
-
-TEST(AnomalyDetectorTest, WarmupNeverFlags) {
-  AnomalyDetectorOptions options;
-  options.warmup = 5;
-  EwmaAnomalyDetector detector(options);
-  // Wild swings inside the warmup window stay unflagged: the baseline is
-  // still forming.
-  for (double v : {1.0, 100.0, -50.0, 1.0, 80.0}) {
-    EXPECT_FALSE(detector.Update(v).anomalous) << v;
-  }
-}
-
-TEST(AnomalyDetectorTest, SpikeAfterStableBaselineFlags) {
-  EwmaAnomalyDetector detector;
-  for (int i = 0; i < 20; ++i) {
-    const AnomalyStatus status = detector.Update(10.0 + 0.01 * (i % 3));
-    EXPECT_FALSE(status.anomalous) << "point " << i;
-  }
-  const AnomalyStatus spike = detector.Update(25.0);
-  EXPECT_TRUE(spike.anomalous);
-  EXPECT_GT(spike.zscore, 3.5);
-  EXPECT_NEAR(spike.ewma, 10.0, 0.1);  // verdict uses the pre-spike mean
-}
-
-TEST(AnomalyDetectorTest, ClampedFoldInKeepsDetectingRepeatSpikes) {
-  EwmaAnomalyDetector detector;
-  for (int i = 0; i < 20; ++i) detector.Update(10.0);
-  EXPECT_TRUE(detector.Update(25.0).anomalous);
-  // A second identical spike right after must still flag: the first one
-  // was folded in with its deviation clamped, not at full magnitude.
-  EXPECT_TRUE(detector.Update(25.0).anomalous);
-}
-
-TEST(AnomalyDetectorTest, ConstantSeriesToleratesTinyWiggle) {
-  EwmaAnomalyDetector detector;
-  for (int i = 0; i < 20; ++i) detector.Update(1.0);
-  // Without the min_std floor the variance would be exactly 0 and this
-  // 1-ulp wiggle would divide by zero / flag.
-  const AnomalyStatus status =
-      detector.Update(1.0 + 1e-15);
-  EXPECT_FALSE(status.anomalous);
-}
-
-// --- Pipeline + journal schema ---------------------------------------------
-
+// A sample that meets both stock objectives (p50 at ipc latency, low
+// modeled error).
 CycleSample MakeSample(int cycle) {
   CycleSample s;
   s.cycle = cycle;
@@ -223,27 +41,35 @@ CycleSample MakeSample(int cycle) {
   return s;
 }
 
-TEST(TelemetryPipelineTest, RecordCycleFeedsEverySeries) {
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetryPipeline pipeline(options);
-  const CycleTelemetry derived = pipeline.RecordCycle(MakeSample(0));
-  EXPECT_TRUE(derived.populated);
-  ASSERT_EQ(derived.slo.size(), DefaultSloObjectives().size());
-  for (const char* name : kTelemetrySeriesNames) {
-    const TimeSeries* series = pipeline.store().Find(name);
-    ASSERT_NE(series, nullptr) << name;
-    EXPECT_EQ(series->size(), 1) << name;
+// Folds one cycle whose latency objective is healthy or violated; returns
+// the latency objective's status.
+SloStatus FoldLatency(TelemetryPipeline& fold, int cycle, bool violate) {
+  CycleSample s = MakeSample(cycle);
+  s.latency_p50 = violate ? 0.9 : 0.2;
+  const CycleTelemetry derived = fold.RecordCycle(s);
+  EXPECT_EQ(derived.slo.size(), DefaultSloObjectives().size());
+  EXPECT_EQ(derived.slo[0].name, "latency_p50");
+  return derived.slo[0];
+}
+
+TEST(TelemetryFoldTest, HealthySamplesStayOk) {
+  TelemetryPipeline fold;
+  for (int c = 0; c < 40; ++c) {
+    const CycleTelemetry derived = fold.RecordCycle(MakeSample(c));
+    EXPECT_TRUE(derived.populated);
+    for (const SloStatus& status : derived.slo) {
+      EXPECT_TRUE(status.has_value) << status.name;
+      EXPECT_FALSE(status.violated) << status.name;
+      EXPECT_EQ(status.alert, SloAlertState::kOk) << status.name;
+      EXPECT_EQ(status.fast_burn_rate, 0.0) << status.name;
+    }
   }
 }
 
-TEST(TelemetryPipelineTest, DefaultObjectivesTrackPlacementQuality) {
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetryPipeline pipeline(options);
-  // A well-localized placement (p50 at ipc latency, low modeled error)
-  // meets both stock objectives ...
-  CycleTelemetry derived = pipeline.RecordCycle(MakeSample(0));
+TEST(TelemetryFoldTest, DefaultObjectivesTrackPlacementQuality) {
+  TelemetryPipeline fold;
+  // A well-localized placement meets both stock objectives ...
+  CycleTelemetry derived = fold.RecordCycle(MakeSample(0));
   for (const SloStatus& status : derived.slo) {
     EXPECT_FALSE(status.violated) << status.name;
   }
@@ -251,44 +77,283 @@ TEST(TelemetryPipelineTest, DefaultObjectivesTrackPlacementQuality) {
   CycleSample bad = MakeSample(1);
   bad.latency_p50 = 1.0;
   bad.error_rate = 0.010;
-  derived = pipeline.RecordCycle(bad);
+  derived = fold.RecordCycle(bad);
   for (const SloStatus& status : derived.slo) {
     EXPECT_TRUE(status.violated) << status.name;
   }
 }
 
-TEST(TelemetryPipelineTest, JournalLineRoundTripsThroughTheStrictReader) {
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetryPipeline pipeline(options);
-  const CycleSample sample = MakeSample(3);
-  const CycleTelemetry derived = pipeline.RecordCycle(sample);
-  const std::string line = TelemetryPipeline::JournalLine(sample, derived);
-  EXPECT_EQ(line.find('\n'), std::string::npos);  // one record per line
+TEST(TelemetryFoldTest, BurnLadderFastThenPage) {
+  TelemetryPipeline fold;
+  // A full slow window of healthy cycles.
+  for (int c = 0; c < kSloSlowWindow; ++c) FoldLatency(fold, c, false);
+  // One violation: the fast window burns 1/6 / 1% = 16.7 (>= 14.4) but the
+  // slow window only 1/36 / 1% = 2.8 (< 6) -> fast-burn only.
+  SloStatus status = FoldLatency(fold, kSloSlowWindow, true);
+  EXPECT_TRUE(status.violated);
+  EXPECT_EQ(status.alert, SloAlertState::kFastBurn);
+  EXPECT_DOUBLE_EQ(status.fast_burn_rate, 100.0 / 6.0);
+  // Two violations: the slow window is at 2/36 / 1% = 5.6, still cold.
+  status = FoldLatency(fold, kSloSlowWindow + 1, true);
+  EXPECT_EQ(status.alert, SloAlertState::kFastBurn);
+  // The third crosses it (3/36 / 1% = 8.3): page, both windows hot.
+  status = FoldLatency(fold, kSloSlowWindow + 2, true);
+  EXPECT_EQ(status.alert, SloAlertState::kPage);
+  EXPECT_DOUBLE_EQ(status.slow_burn_rate, 300.0 / 36.0);
+}
 
+TEST(TelemetryFoldTest, RecoveryDrainsTheFastWindowFirst) {
+  TelemetryPipeline fold;
+  SloStatus status;
+  for (int c = 0; c < kSloSlowWindow; ++c) status = FoldLatency(fold, c, true);
+  EXPECT_EQ(status.alert, SloAlertState::kPage);
+  // Five healthy cycles leave one violation in the 6-cycle fast window ...
+  int cycle = kSloSlowWindow;
+  for (int i = 0; i < kSloFastWindow - 1; ++i) {
+    status = FoldLatency(fold, cycle++, false);
+  }
+  EXPECT_EQ(status.alert, SloAlertState::kPage);
+  // ... the sixth empties it, while the slow window still holds 30/36 of
+  // violations: slow-burn, the "budget already spent" tail of an incident.
+  status = FoldLatency(fold, cycle++, false);
+  EXPECT_EQ(status.alert, SloAlertState::kSlowBurn);
+  EXPECT_EQ(status.fast_burn_rate, 0.0);
+  EXPECT_DOUBLE_EQ(status.slow_burn_rate, 3000.0 / 36.0);
+}
+
+TEST(TelemetryFoldTest, WindowsCoverOnlyTheCyclesSeenSoFar) {
+  // Before a window fills, its mean runs over the cycles folded so far:
+  // one violation in the first cycle burns both windows at 100.
+  TelemetryPipeline fold;
+  const SloStatus status = FoldLatency(fold, 0, true);
+  EXPECT_EQ(status.fast_burn_rate, 100.0);
+  EXPECT_EQ(status.slow_burn_rate, 100.0);
+  EXPECT_EQ(status.alert, SloAlertState::kPage);
+}
+
+TEST(TelemetryFoldTest, MissingSignalNeverCountsAsViolation) {
+  TelemetryPipeline fold;
+  CycleSample s = MakeSample(0);
+  s.latency_p50 = std::numeric_limits<double>::quiet_NaN();
+  s.error_rate = std::numeric_limits<double>::infinity();
+  for (int c = 0; c < kSloFastWindow; ++c) {
+    s.cycle = c;
+    const CycleTelemetry derived = fold.RecordCycle(s);
+    for (const SloStatus& status : derived.slo) {
+      EXPECT_FALSE(status.has_value) << status.name;
+      EXPECT_FALSE(status.violated) << status.name;
+      EXPECT_EQ(status.alert, SloAlertState::kOk) << status.name;
+    }
+    EXPECT_TRUE(std::isnan(derived.slo[0].value));
+  }
+}
+
+// --- The verdict fold: anomaly detection -----------------------------------
+
+// Folds one cycle with the given optimality gap; returns the gap verdict.
+AnomalyStatus FoldGap(TelemetryPipeline& fold, double gap) {
+  CycleSample s = MakeSample(0);
+  s.optimality_gap = gap;
+  return fold.RecordCycle(s).gap;
+}
+
+TEST(TelemetryFoldTest, WarmupNeverFlags) {
+  TelemetryPipeline fold;
+  // Wild swings inside the warm-up stay unflagged: the baseline is still
+  // forming.
+  const double swings[] = {1.0, 100.0, -50.0, 1.0, 80.0};
+  static_assert(std::size(swings) == kAnomalyWarmup);
+  for (double v : swings) EXPECT_FALSE(FoldGap(fold, v).anomalous) << v;
+}
+
+TEST(TelemetryFoldTest, SpikeAfterStableBaselineFlags) {
+  TelemetryPipeline fold;
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_FALSE(FoldGap(fold, 10.0 + 0.01 * (i % 3)).anomalous)
+        << "point " << i;
+  }
+  const AnomalyStatus spike = FoldGap(fold, 25.0);
+  EXPECT_TRUE(spike.anomalous);
+  EXPECT_GT(spike.zscore, kAnomalyZThreshold);
+  EXPECT_NEAR(spike.ewma, 10.0, 0.1);  // verdict uses the pre-spike mean
+}
+
+TEST(TelemetryFoldTest, ClampedFoldInKeepsDetectingRepeatSpikes) {
+  TelemetryPipeline fold;
+  for (int i = 0; i < 20; ++i) FoldGap(fold, 10.0 + 0.01 * (i % 3));
+  const AnomalyStatus first = FoldGap(fold, 25.0);
+  ASSERT_TRUE(first.anomalous);
+  // The spike was folded in at exactly the threshold deviation, so the
+  // mean moved by alpha * z * std, not by alpha * 15 ...
+  const AnomalyStatus second = FoldGap(fold, 25.0);
+  EXPECT_DOUBLE_EQ(second.ewma, first.ewma + kAnomalyAlpha *
+                                                 kAnomalyZThreshold *
+                                                 first.ewm_std);
+  // ... and a second identical spike right after still flags.
+  EXPECT_TRUE(second.anomalous);
+}
+
+TEST(TelemetryFoldTest, ConstantSeriesToleratesTinyWiggle) {
+  TelemetryPipeline fold;
+  for (int i = 0; i < 20; ++i) EXPECT_FALSE(FoldGap(fold, 1.0).anomalous);
+  // Without the min_std floor the variance would be exactly 0 and this
+  // 1-ulp wiggle would divide by zero / flag.
+  const AnomalyStatus status = FoldGap(fold, 1.0 + 1e-15);
+  EXPECT_FALSE(status.anomalous);
+  EXPECT_EQ(status.ewm_std, kAnomalyMinStd);
+}
+
+// --- The journal: one sample per line ---------------------------------------
+
+void ExpectSameSample(const CycleSample& a, const CycleSample& b) {
+  EXPECT_EQ(a.cycle, b.cycle);
+  EXPECT_EQ(a.seconds, b.seconds);
+  EXPECT_EQ(a.affinity_before, b.affinity_before);
+  EXPECT_EQ(a.gained_affinity, b.gained_affinity);
+  EXPECT_EQ(a.optimality_gap, b.optimality_gap);
+  EXPECT_EQ(a.migration_truncation, b.migration_truncation);
+  EXPECT_EQ(a.dirty_subproblems, b.dirty_subproblems);
+  EXPECT_EQ(a.reused_subproblems, b.reused_subproblems);
+  EXPECT_EQ(a.lp_pivots, b.lp_pivots);
+  EXPECT_EQ(a.refactorizations, b.refactorizations);
+  EXPECT_EQ(a.latency_p50, b.latency_p50);
+  EXPECT_EQ(a.latency_p95, b.latency_p95);
+  EXPECT_EQ(a.latency_p99, b.latency_p99);
+  EXPECT_EQ(a.error_rate, b.error_rate);
+  EXPECT_EQ(a.executed, b.executed);
+  EXPECT_EQ(a.rolled_back, b.rolled_back);
+  EXPECT_EQ(a.solver_failed, b.solver_failed);
+}
+
+StatusOr<CycleSample> DecodeLine(const std::string& line) {
+  StatusOr<JsonValue> json = ParseJson(line);
+  if (!json.ok()) return json.status();
+  return ParseCycleSample(*json);
+}
+
+TEST(TelemetryJournalTest, LineHoldsOnlyTheVersionedSample) {
+  const std::string line = CycleSampleJson(MakeSample(3));
+  EXPECT_EQ(line.find('\n'), std::string::npos);  // one record per line
   StatusOr<JsonValue> parsed = ParseJson(line);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   ASSERT_EQ(parsed->kind, JsonValue::Kind::kObject);
-  ASSERT_NE(parsed->Get("v"), nullptr);
-  EXPECT_EQ(parsed->Get("v")->number, 1.0);  // schema version
+  EXPECT_EQ(parsed->object.front().first, "v");
+  EXPECT_EQ(parsed->Get("v")->number, 2.0);  // schema version
   EXPECT_EQ(parsed->Get("cycle")->number, 3.0);
   EXPECT_EQ(parsed->Get("gained_affinity")->number, 0.7);
   EXPECT_TRUE(parsed->Get("executed")->boolean);
-  const JsonValue* slo = parsed->Get("slo");
-  ASSERT_NE(slo, nullptr);
-  ASSERT_EQ(slo->kind, JsonValue::Kind::kArray);
-  ASSERT_EQ(slo->array.size(), DefaultSloObjectives().size());
-  for (const JsonValue& status : slo->array) {
-    EXPECT_NE(status.Get("name"), nullptr);
-    EXPECT_NE(status.Get("alert"), nullptr);
-    EXPECT_NE(status.Get("fast_burn"), nullptr);
-    EXPECT_NE(status.Get("slow_burn"), nullptr);
+  // The verdicts are derived on read, never recorded.
+  for (const char* key : {"slo", "cost_anomaly", "gap_anomaly"}) {
+    EXPECT_EQ(parsed->Get(key), nullptr) << key;
   }
-  for (const char* key : {"cost_anomaly", "gap_anomaly"}) {
-    const JsonValue* anomaly = parsed->Get(key);
-    ASSERT_NE(anomaly, nullptr) << key;
-    EXPECT_NE(anomaly->Get("anomalous"), nullptr) << key;
-    EXPECT_NE(anomaly->Get("zscore"), nullptr) << key;
+}
+
+TEST(TelemetryJournalTest, SampleRoundTripsExactly) {
+  CycleSample s = MakeSample(7);
+  // Awkward doubles: %.17g must carry every bit.
+  s.seconds = 0.1 + 0.2;
+  s.affinity_before = 1e-300;
+  s.gained_affinity = 2.0 / 3.0;
+  s.migration_truncation = -1.25e-17;
+  s.dirty_subproblems = 11;
+  s.reused_subproblems = 42;
+  s.rolled_back = true;
+  s.solver_failed = true;
+  const StatusOr<CycleSample> decoded = DecodeLine(CycleSampleJson(s));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameSample(*decoded, s);
+}
+
+TEST(TelemetryJournalTest, NanLatencyRoundTripsAsMissingSignal) {
+  CycleSample s = MakeSample(0);
+  s.latency_p50 = std::numeric_limits<double>::quiet_NaN();
+  const std::string line = CycleSampleJson(s);
+  EXPECT_NE(line.find("\"latency_p50\": null"), std::string::npos) << line;
+  const StatusOr<CycleSample> decoded = DecodeLine(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(std::isnan(decoded->latency_p50));
+  TelemetryPipeline fold;
+  const CycleTelemetry derived = fold.RecordCycle(*decoded);
+  EXPECT_FALSE(derived.slo[0].has_value);
+  EXPECT_FALSE(derived.slo[0].violated);
+}
+
+// A line as the version-1 writer emitted it: the sample followed by the
+// verdicts it used to record.
+constexpr char kVersion1Line[] =
+    R"({"v": 1, "cycle": 3, "seconds": 2, "affinity_before": 0.29999999999999999, "gained_affinity": 0.69999999999999996, "optimality_gap": 0.050000000000000003, "migration_truncation": 0.10000000000000001, "dirty_subproblems": 4, "reused_subproblems": 9, "lp_pivots": 100, "refactorizations": 4, "latency_p50": 0.20000000000000001, "latency_p95": 0.90000000000000002, "latency_p99": 1, "error_rate": 0.0040000000000000001, "executed": true, "rolled_back": false, "solver_failed": false, "slo": [{"name": "latency_p50", "value": 0.20000000000000001, "violated": false, "fast_burn": 0, "slow_burn": 0, "alert": "ok"}, {"name": "error_rate", "value": 0.0040000000000000001, "violated": false, "fast_burn": 0, "slow_burn": 0, "alert": "ok"}], "cost_anomaly": {"anomalous": false, "zscore": 0, "ewma": 0}, "gap_anomaly": {"anomalous": false, "zscore": 0, "ewma": 0}})";
+
+TEST(TelemetryJournalTest, DecodesVersion1Lines) {
+  CycleSample expected = MakeSample(3);
+  expected.migration_truncation = 0.1;
+  expected.dirty_subproblems = 4;
+  expected.reused_subproblems = 9;
+  const StatusOr<CycleSample> decoded = DecodeLine(kVersion1Line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameSample(*decoded, expected);
+}
+
+// Replaces the first occurrence of `from` in the version-2 encoding of
+// MakeSample(3).
+std::string EditedLine(const std::string& from, const std::string& to) {
+  std::string line = CycleSampleJson(MakeSample(3));
+  const size_t at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  return line.replace(at, from.size(), to);
+}
+
+TEST(TelemetryJournalTest, RejectsMalformedSamples) {
+  const std::string bad[] = {
+      EditedLine("\"error_rate\": 0.0040000000000000001, ", ""),  // missing
+      EditedLine("\"v\": 2, ", ""),                 // no version
+      EditedLine("\"v\": 2", "\"v\": 3"),           // unknown version
+      EditedLine("\"v\": 2", "\"v\": \"2\""),       // mistyped version
+      EditedLine("\"cycle\": 3", "\"cycle\": \"3\""),   // string, not int
+      EditedLine("\"cycle\": 3", "\"cycle\": 3.5"),     // fractional int
+      EditedLine("\"cycle\": 3", "\"cycle\": null"),    // null int
+      EditedLine("\"executed\": true", "\"executed\": 1"),  // int, not bool
+      EditedLine("\"seconds\": 2", "\"seconds\": \"2\""),  // string double
+      "[1, 2]",                                     // not an object
+  };
+  for (const std::string& line : bad) {
+    const StatusOr<CycleSample> decoded = DecodeLine(line);
+    EXPECT_FALSE(decoded.ok()) << "accepted: " << line;
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(TelemetryJournalTest, JournalDropsOnlyATornFinalLine) {
+  const std::string text = CycleSampleJson(MakeSample(0)) + "\n" +
+                           CycleSampleJson(MakeSample(1)) + "\n" +
+                           CycleSampleJson(MakeSample(2)).substr(0, 40);
+  const StatusOr<std::vector<CycleSample>> samples =
+      ParseTelemetryJournal(text);
+  ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+  ASSERT_EQ(samples->size(), 2u);
+  EXPECT_EQ((*samples)[1].cycle, 1);
+  EXPECT_TRUE(ParseTelemetryJournal("").ok());
+}
+
+TEST(TelemetryJournalTest, JournalRejectsBadLinesAndCycleOrder) {
+  const std::string line0 = CycleSampleJson(MakeSample(0)) + "\n";
+  const std::string line1 = CycleSampleJson(MakeSample(1)) + "\n";
+  const std::string bad[] = {
+      line0 + line1 + line1,         // repeated cycle
+      line1 + line0,                 // cycle goes backwards
+      line0 + "{\"v\": 2}\n" + line1,  // a complete but malformed line
+      line0 + "\n" + line1,          // an empty line
+      line0 + "not json\n",
+  };
+  for (const std::string& text : bad) {
+    const StatusOr<std::vector<CycleSample>> samples =
+        ParseTelemetryJournal(text);
+    EXPECT_FALSE(samples.ok()) << "accepted: " << text;
+    if (!samples.ok()) {
+      EXPECT_EQ(samples.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(samples.status().message().find("line"), std::string::npos);
+    }
   }
 }
 

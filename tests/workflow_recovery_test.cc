@@ -12,6 +12,7 @@
 #include "cluster/generator.h"
 #include "common/durable_io.h"
 #include "common/logging.h"
+#include "common/telemetry.h"
 #include "core/objective.h"
 #include "core/recovery.h"
 #include "gtest/gtest.h"
@@ -312,6 +313,148 @@ TEST(WorkflowRecoveryTest, ResumeAfterCleanShutdownIsANoOp) {
   // Counters carried over from the checkpoint, not reset.
   EXPECT_EQ(resumed.executions, baseline.executions);
   EXPECT_EQ(resumed.dry_runs, baseline.dry_runs);
+}
+
+// --- Telemetry across a resume ---------------------------------------------
+// The SLO and anomaly verdicts are a fold over the recorded cycle samples,
+// so a resumed run must rebuild the fold from `telemetry.jsonl` and report
+// what the uninterrupted run reports.
+
+constexpr int kTelemetryCycles = 4;
+
+std::string FreshTelemetryDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/rasa_wf_telemetry_" + name;
+  std::remove((dir + "/telemetry.jsonl").c_str());
+  EXPECT_TRUE(EnsureDirectory(dir).ok());
+  return dir;
+}
+
+WorkflowOptions TelemetryOptionsFor(int threads, const std::string& name) {
+  WorkflowOptions options = BaseOptions(threads);
+  options.cycles = kTelemetryCycles;
+  options.state_dir = FreshStateDir(name);
+  options.telemetry_dir = FreshTelemetryDir(name);
+  return options;
+}
+
+// The uninterrupted telemetry run at `threads`, computed once per count.
+const WorkflowReport& TelemetryBaseline(int threads) {
+  static std::map<int, WorkflowReport>* cache =
+      new std::map<int, WorkflowReport>();
+  auto it = cache->find(threads);
+  if (it == cache->end()) {
+    const WorkflowOptions options = TelemetryOptionsFor(
+        threads, "telemetry_baseline_t" + std::to_string(threads));
+    it = cache
+             ->emplace(threads,
+                       MustRun(options, TestSnapshot().original_placement))
+             .first;
+    EXPECT_EQ(it->second.cycles.size(), size_t{kTelemetryCycles});
+  }
+  return it->second;
+}
+
+void ExpectSameSloStatuses(const CycleTelemetry& got,
+                           const CycleTelemetry& want) {
+  ASSERT_TRUE(got.populated);
+  ASSERT_EQ(got.slo.size(), want.slo.size());
+  for (size_t i = 0; i < got.slo.size(); ++i) {
+    SCOPED_TRACE(got.slo[i].name);
+    EXPECT_EQ(got.slo[i].name, want.slo[i].name);
+    EXPECT_EQ(got.slo[i].value, want.slo[i].value);
+    EXPECT_EQ(got.slo[i].has_value, want.slo[i].has_value);
+    EXPECT_EQ(got.slo[i].violated, want.slo[i].violated);
+    EXPECT_EQ(got.slo[i].fast_burn_rate, want.slo[i].fast_burn_rate);
+    EXPECT_EQ(got.slo[i].slow_burn_rate, want.slo[i].slow_burn_rate);
+    EXPECT_EQ(got.slo[i].alert, want.slo[i].alert);
+  }
+}
+
+// The recorded cycle numbers of `<dir>/telemetry.jsonl`, in file order.
+std::vector<int> JournalCycles(const std::string& dir) {
+  StatusOr<std::string> text = ReadFileToString(dir + "/telemetry.jsonl");
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  std::vector<int> cycles;
+  size_t offset = 0;
+  for (size_t nl; text.ok() && (nl = text->find('\n', offset)) !=
+                                   std::string::npos;
+       offset = nl + 1) {
+    StatusOr<JsonValue> line = ParseJson(text->substr(offset, nl - offset));
+    EXPECT_TRUE(line.ok()) << line.status().ToString();
+    if (line.ok() && line->Get("cycle") != nullptr) {
+      cycles.push_back(static_cast<int>(line->Get("cycle")->number));
+    }
+  }
+  return cycles;
+}
+
+// Stop after two cycles, then --resume to four: the resumed cycles' SLO
+// windows and gap baselines carry the first two cycles, exactly as in the
+// uninterrupted run. (The cost anomaly scores wall seconds: left out.)
+TEST(WorkflowRecoveryTest, ResumedTelemetryMatchesUninterruptedRun) {
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const WorkflowReport& baseline = TelemetryBaseline(threads);
+    WorkflowOptions options =
+        TelemetryOptionsFor(threads, "telemetry_stop_t" +
+                                         std::to_string(threads));
+    options.cycles = 2;
+    const WorkflowReport first =
+        MustRun(options, TestSnapshot().original_placement);
+    ASSERT_EQ(first.cycles.size(), 2u);
+
+    options.cycles = kTelemetryCycles;
+    options.resume = true;
+    const WorkflowReport resumed = MustRun(options, first.final_placement);
+    EXPECT_EQ(resumed.resumed_cycle, 2);
+    ASSERT_EQ(resumed.cycles.size(), 2u);
+    for (size_t c = 0; c < resumed.cycles.size(); ++c) {
+      SCOPED_TRACE(::testing::Message() << "cycle " << 2 + c);
+      const CycleTelemetry& got = resumed.cycles[c].telemetry;
+      const CycleTelemetry& want = baseline.cycles[2 + c].telemetry;
+      ExpectSameSloStatuses(got, want);
+      EXPECT_EQ(got.gap.anomalous, want.gap.anomalous);
+      EXPECT_EQ(got.gap.zscore, want.gap.zscore);
+      EXPECT_EQ(got.gap.ewma, want.gap.ewma);
+      EXPECT_EQ(got.gap.ewm_std, want.gap.ewm_std);
+    }
+    EXPECT_EQ(JournalCycles(options.telemetry_dir),
+              (std::vector<int>{0, 1, 2, 3}));
+  }
+}
+
+// A crash after cycle 1 recorded its sample but before its checkpoint: the
+// resume redoes cycle 1 from the write-ahead journal, so the journal must
+// drop the first recording instead of holding cycle 1 twice.
+TEST(WorkflowRecoveryTest, CrashBeforeCheckpointRecordsEachCycleOnce) {
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const WorkflowReport& baseline = TelemetryBaseline(threads);
+    WorkflowOptions options =
+        TelemetryOptionsFor(threads, "telemetry_crash_t" +
+                                         std::to_string(threads));
+    options.inject_faults = true;
+    options.faults.crash_before_checkpoint_cycle = 1;
+    const WorkflowReport crashed =
+        MustRun(options, TestSnapshot().original_placement);
+    ASSERT_TRUE(crashed.crashed) << "crash point never fired";
+
+    WorkflowOptions resume_options = options;
+    resume_options.inject_faults = false;
+    resume_options.faults = {};
+    resume_options.resume = true;
+    const WorkflowReport resumed =
+        MustRun(resume_options, crashed.final_placement);
+    ASSERT_EQ(resumed.resumed_cycle, 1);
+    EXPECT_EQ(JournalCycles(options.telemetry_dir),
+              (std::vector<int>{0, 1, 2, 3}));
+    ASSERT_EQ(resumed.cycles.size(), size_t{kTelemetryCycles - 1});
+    for (size_t c = 0; c < resumed.cycles.size(); ++c) {
+      SCOPED_TRACE(::testing::Message() << "cycle " << 1 + c);
+      ExpectSameSloStatuses(resumed.cycles[c].telemetry,
+                            baseline.cycles[1 + c].telemetry);
+    }
+  }
 }
 
 // The `recover` inspection must work on a live crash scene.
