@@ -310,7 +310,7 @@ TEST(GoldenWorkflowDigestTest, CrashMidDrift) {
     const std::string digest = DigestOfCrashAndResume(
         "mid_drift", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.drift_moves_rolled_forward, 0);
-    EXPECT_EQ(digest, "53294690a3200aae");
+    EXPECT_EQ(digest, "70d960bddf9f69e8");
   }
 }
 
@@ -323,7 +323,7 @@ TEST(GoldenWorkflowDigestTest, CrashBeforeCheckpoint) {
     const std::string digest = DigestOfCrashAndResume(
         "pre_checkpoint", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.cycles_completed_from_journal, 0);
-    EXPECT_EQ(digest, "01533f85b41fcc85");
+    EXPECT_EQ(digest, "195a4015b2b4ef85");
   }
 }
 
@@ -344,7 +344,7 @@ TEST(GoldenWorkflowDigestTest, IncrementalCrashBeforeCheckpoint) {
     int reused = 0;
     for (const CycleReport& c : resumed.cycles) reused += c.reused_subproblems;
     EXPECT_GT(reused, 0);
-    EXPECT_EQ(digest, "ce866ff6f64bddcd");
+    EXPECT_EQ(digest, "ac9eed51fda6e656");
   }
 }
 

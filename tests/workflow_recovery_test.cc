@@ -425,7 +425,8 @@ TEST(WorkflowRecoveryTest, ResumedTelemetryMatchesUninterruptedRun) {
 
 // A crash after cycle 1 recorded its sample but before its checkpoint: the
 // resume redoes cycle 1 from the write-ahead journal, so the journal must
-// drop the first recording instead of holding cycle 1 twice.
+// drop the first recording instead of holding cycle 1 twice, and the redone
+// cycle must report what the uninterrupted run reported.
 TEST(WorkflowRecoveryTest, CrashBeforeCheckpointRecordsEachCycleOnce) {
   for (int threads : kThreadCounts) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
@@ -451,6 +452,10 @@ TEST(WorkflowRecoveryTest, CrashBeforeCheckpointRecordsEachCycleOnce) {
     ASSERT_EQ(resumed.cycles.size(), size_t{kTelemetryCycles - 1});
     for (size_t c = 0; c < resumed.cycles.size(); ++c) {
       SCOPED_TRACE(::testing::Message() << "cycle " << 1 + c);
+      // The recovered cycle served the placement it rebuilt before the
+      // drift, not the partly drifted one the crash left behind.
+      EXPECT_EQ(resumed.cycles[c].affinity_after,
+                baseline.cycles[1 + c].affinity_after);
       ExpectSameSloStatuses(resumed.cycles[c].telemetry,
                             baseline.cycles[1 + c].telemetry);
     }
