@@ -135,9 +135,10 @@ StatusOr<BaselineResult> RunPop(const Cluster& cluster,
     PopulateSubproblemEdges(cluster, sp);
     const double share = deadline.RemainingSeconds() /
                          std::max(1, partitions);
+    SolveAttempt attempt;
     StatusOr<SubproblemSolution> solution = RunPoolAlgorithm(
         PoolAlgorithm::kMip, cluster, sp, working, current,
-        deadline.ClampedToSeconds(std::max(0.02, share)));
+        deadline.ClampedToSeconds(std::max(0.02, share)), &attempt);
     std::vector<int> placed(N, 0);
     if (!solution.ok()) {
       // Solver ran out of time/memory on this subcluster: greedy fallback,

@@ -35,7 +35,8 @@ struct SolveAttempt {
   AttemptOutcome outcome = AttemptOutcome::kNotRun;
   double seconds = 0.0;
   /// At most one of the two is populated, matching `algorithm`, and only
-  /// when the solver actually ran.
+  /// when the solver actually ran. On a POP split they hold the work of
+  /// the replicas that ran and no bound or objective (see pop.h).
   bool has_cg = false;
   CgStats cg;
   bool has_mip = false;
@@ -44,9 +45,10 @@ struct SolveAttempt {
 
 /// Runs one pool algorithm on a subproblem. `base` holds the trivial
 /// residents (defines residual capacities); `original` is the pre-RASA
-/// placement (CG seeds patterns from it). Neither is modified. `attempt`,
-/// when non-null, is overwritten with the run: algorithm, kOk or kFailed,
-/// wall-clock and solver introspection.
+/// placement (CG seeds patterns from it). Neither is modified. `attempt`
+/// is overwritten with the run: algorithm, kOk or kFailed, wall-clock and
+/// solver introspection. It is the run's only record: the registry's pool
+/// and solver series are folded from the optimizer's ledger records.
 /// `mip_incumbent`, when non-null, offers an extra feasible placement (the
 /// incremental path's prior incumbent) as the MIP warm start — see
 /// MipAlgorithmOptions::incumbent_hint; the CG branch ignores it (CG warm
@@ -55,8 +57,7 @@ StatusOr<SubproblemSolution> RunPoolAlgorithm(
     PoolAlgorithm algorithm, const Cluster& cluster,
     const Subproblem& subproblem, const Placement& base,
     const Placement& original, const Deadline& deadline,
-    SolveAttempt* attempt = nullptr,
-    const Placement* mip_incumbent = nullptr);
+    SolveAttempt* attempt, const Placement* mip_incumbent = nullptr);
 
 /// True iff RunPoolAlgorithm on `subproblem` returns an error, whatever
 /// the placements and deadline: CG never does (it falls back to the

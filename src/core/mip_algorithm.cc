@@ -5,7 +5,6 @@
 #include <map>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/strings.h"
 #include "core/greedy.h"
 #include "mip/solver.h"
@@ -31,33 +30,6 @@ void FillMipStats(const MipResult& result, SubproblemMipStats* stats) {
   stats->max_node_pivots = result.max_node_pivots;
   stats->refactorizations = result.refactorizations;
   stats->max_eta_length = result.max_eta_length;
-}
-
-// Solver-quality metrics of one subproblem MIP solve (observation-only).
-void RecordMipMetrics(const MipResult& result) {
-  MetricRegistry& reg = MetricRegistry::Default();
-  static Counter& solves = reg.GetCounter("pool.mip_solves");
-  static Histogram& gap = reg.GetHistogram("pool.mip_gap");
-  static Histogram& nodes = reg.GetHistogram("pool.mip_nodes");
-  static Histogram& iterations = reg.GetHistogram("pool.mip_lp_iterations");
-  solves.Increment();
-  if (result.has_solution()) gap.Observe(result.Gap());
-  nodes.Observe(static_cast<double>(result.nodes_explored));
-  iterations.Observe(static_cast<double>(result.lp_iterations));
-  // Solver-core introspection: warm-start hit rate is
-  // solver.warm_started_nodes / solver.bnb_nodes on the scrape side.
-  static Counter& warm_nodes = reg.GetCounter("solver.warm_started_nodes");
-  static Counter& bnb_nodes = reg.GetCounter("solver.bnb_nodes");
-  static Counter& refactorizations = reg.GetCounter("solver.refactorizations");
-  static Counter& lp_pivots = reg.GetCounter("solver.lp_pivots");
-  static Histogram& eta = reg.GetHistogram("solver.max_eta_length");
-  static Histogram& node_pivots = reg.GetHistogram("solver.max_node_pivots");
-  warm_nodes.Increment(static_cast<uint64_t>(result.warm_started_nodes));
-  bnb_nodes.Increment(static_cast<uint64_t>(result.nodes_explored));
-  refactorizations.Increment(static_cast<uint64_t>(result.refactorizations));
-  lp_pivots.Increment(static_cast<uint64_t>(result.lp_iterations));
-  eta.Observe(static_cast<double>(result.max_eta_length));
-  node_pivots.Observe(static_cast<double>(result.max_node_pivots));
 }
 
 // Anti-affinity rules intersecting the subproblem, in first-seen order.
@@ -306,7 +278,6 @@ StatusOr<SubproblemSolution> SolveSubproblemMipGrouped(
   mip_options.deadline = options.deadline;
   mip_options.relative_gap = options.relative_gap;
   MipResult mip = SolveMip(model, mip_options);
-  RecordMipMetrics(mip);
   if (!mip.has_solution()) {
     Placement scratch = base;
     return GreedyAffinityPlace(cluster, subproblem, scratch);
@@ -449,7 +420,6 @@ StatusOr<SubproblemSolution> SolveSubproblemMip(
   mip_options.relative_gap = options.relative_gap;
   mip_options.initial_solution = warm;
   MipResult result = SolveMip(mip.model, mip_options);
-  RecordMipMetrics(result);
   FillMipStats(result, stats);
 
   if (!result.has_solution()) {

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/timer.h"
 #include "graph/partition.h"
 
@@ -334,32 +333,6 @@ PartitionResult PartitionServices(const Cluster& cluster,
   result.stats.crucial_internal_affinity =
       total > 0.0 ? internal / total : 0.0;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
-
-  // Observability (observation-only; registry handles are cached once).
-  {
-    MetricRegistry& reg = MetricRegistry::Default();
-    static Counter& runs = reg.GetCounter("partition.runs");
-    static Counter& subproblems = reg.GetCounter("partition.subproblems");
-    static Histogram& seconds = reg.GetHistogram("partition.seconds");
-    static Histogram& sizes =
-        reg.GetHistogram("partition.subproblem_services");
-    static Gauge& master_ratio = reg.GetGauge("partition.master_ratio");
-    static Gauge& internal_affinity =
-        reg.GetGauge("partition.crucial_internal_affinity");
-    static Gauge& trivial_gauge = reg.GetGauge("partition.trivial_services");
-    static Gauge& crucial_gauge = reg.GetGauge("partition.crucial_services");
-    runs.Increment();
-    subproblems.Increment(
-        static_cast<uint64_t>(result.stats.num_subproblems));
-    seconds.Observe(result.stats.elapsed_seconds);
-    for (const Subproblem& sp : result.subproblems) {
-      sizes.Observe(static_cast<double>(sp.services.size()));
-    }
-    master_ratio.Set(result.stats.master_ratio);
-    internal_affinity.Set(result.stats.crucial_internal_affinity);
-    trivial_gauge.Set(result.stats.num_trivial_services);
-    crucial_gauge.Set(result.stats.num_crucial_services);
-  }
   return result;
 }
 

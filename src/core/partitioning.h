@@ -67,7 +67,8 @@ struct PartitionResult {
 /// Runs service partitioning + machine assignment on a cluster snapshot.
 /// `current` is the running placement (machine shaving keeps trivial
 /// containers where they are). Machines are divided among subproblems per
-/// spec, proportionally to each subproblem's requested resources.
+/// spec, proportionally to each subproblem's requested resources. Records
+/// no metrics: Optimize folds the `partition.*` series from the stats.
 PartitionResult PartitionServices(const Cluster& cluster,
                                   const Placement& current,
                                   const PartitioningOptions& options);

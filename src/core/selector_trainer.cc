@@ -55,14 +55,17 @@ SelectorDataset GenerateSelectorDataset(
         rng.Next();
         const Deadline deadline =
             Deadline::AfterSeconds(options.label_timeout_seconds);
+        SolveAttempt attempt;
         StatusOr<SubproblemSolution> cg = RunPoolAlgorithm(
             PoolAlgorithm::kCg, *snapshot->cluster, sp,
-            partition.base_placement, snapshot->original_placement, deadline);
+            partition.base_placement, snapshot->original_placement, deadline,
+            &attempt);
         const Deadline deadline2 =
             Deadline::AfterSeconds(options.label_timeout_seconds);
         StatusOr<SubproblemSolution> mip = RunPoolAlgorithm(
             PoolAlgorithm::kMip, *snapshot->cluster, sp,
-            partition.base_placement, snapshot->original_placement, deadline2);
+            partition.base_placement, snapshot->original_placement, deadline2,
+            &attempt);
         sample.cg_objective = cg.ok() ? cg->gained_affinity : -1.0;
         sample.mip_objective = mip.ok() ? mip->gained_affinity : -1.0;
         // Label by objective; exact ties go to MIP (its answer is certified

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 
-#include "common/metrics.h"
-
 namespace rasa {
 namespace {
 
@@ -33,24 +31,18 @@ LadderCounts CountLadder(const std::vector<LedgerRecord>& records,
 }
 
 SolveLedger& SolveLedger::Default() {
-  // Leaked on purpose, like MetricRegistry: destruction order vs. worker
-  // threads at exit is otherwise unknowable.
+  // Leaked on purpose: destruction order vs. worker threads at exit is
+  // otherwise unknowable.
   static SolveLedger* ledger = new SolveLedger();
   return *ledger;
 }
 
 void SolveLedger::Append(LedgerRecord record) {
-  static Counter& appended =
-      MetricRegistry::Default().GetCounter("ledger.records");
-  appended.Increment();
   std::lock_guard<std::mutex> lock(mu_);
   records_.push_back(std::move(record));
 }
 
 void SolveLedger::AppendAll(const std::vector<LedgerRecord>& records) {
-  static Counter& appended =
-      MetricRegistry::Default().GetCounter("ledger.records");
-  appended.Increment(records.size());
   std::lock_guard<std::mutex> lock(mu_);
   records_.insert(records_.end(), records.begin(), records.end());
 }

@@ -449,10 +449,14 @@ TEST(PoolTest, RunPoolAlgorithmDispatches) {
   PairCase c;
   Placement original(*c.cluster);
   for (PoolAlgorithm algo : {PoolAlgorithm::kCg, PoolAlgorithm::kMip}) {
-    StatusOr<SubproblemSolution> solution = RunPoolAlgorithm(
-        algo, *c.cluster, c.sp, c.base, original, Deadline::AfterSeconds(2));
+    SolveAttempt attempt;
+    StatusOr<SubproblemSolution> solution =
+        RunPoolAlgorithm(algo, *c.cluster, c.sp, c.base, original,
+                         Deadline::AfterSeconds(2), &attempt);
     ASSERT_TRUE(solution.ok()) << PoolAlgorithmToString(algo);
     EXPECT_NEAR(solution->gained_affinity, 1.0, 1e-6);
+    EXPECT_EQ(attempt.algorithm, algo);
+    EXPECT_EQ(attempt.outcome, AttemptOutcome::kOk);
   }
 }
 

@@ -82,7 +82,7 @@ TEST(GoldenDigestTest, PopSplit) {
     const RasaResult r =
         RunOptimize(options, SelectorPolicy::kHeuristic, threads);
     EXPECT_GT(r.pop_splits, 0);
-    EXPECT_EQ(DigestOf(r), "a8cfbebc6ede8c13");
+    EXPECT_EQ(DigestOf(r), "280cc43e20eea5bc");
   }
 }
 

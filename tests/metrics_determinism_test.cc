@@ -3,7 +3,8 @@
 // thread count — instrumentation may watch the hot path but never steer it.
 // Also covers the end-to-end export: a workflow run with an executing cycle
 // populates all five instrumented subsystems (rasa., partition., pool.,
-// threadpool., migration.) and snapshots them once per cycle.
+// threadpool., migration.) and snapshots them once per cycle, and the
+// optimizer's solver series are folds of its ledger records.
 
 #include <string>
 #include <vector>
@@ -70,6 +71,64 @@ TEST(MetricsDeterminismTest, DisabledRunRecordsNothing) {
   }
   for (const auto& [name, histogram] : snap.histograms) {
     EXPECT_EQ(histogram.count, 0u) << name;
+  }
+}
+
+// The optimizer's registry series are a fold of its ledger records, POP
+// replicas included: on GoldenDigestTest.PopSplit's inputs the registry
+// deltas equal the records' sums, and every POP attempt that ran carries
+// its replicas' pivots but no bound.
+TEST(MetricsDeterminismTest, SolverSeriesAreRecordSums) {
+  const ClusterSnapshot snapshot = testing::MakeSnapshot(M1Spec(32.0), 5);
+  RasaOptions options;
+  options.timeout_seconds = 60.0;
+  options.partitioning.max_subproblem_services = 12;
+  options.seed = 17;
+  options.pop.max_services = 6;
+  for (int threads : {1, 4, 8}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    options.num_threads = threads;
+    const RasaOptimizer optimizer(
+        options, AlgorithmSelector(SelectorPolicy::kHeuristic));
+    const MetricsSnapshot before = MetricRegistry::Default().Scrape();
+    StatusOr<RasaResult> r = optimizer.Optimize(*snapshot.cluster,
+                                                snapshot.original_placement);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const MetricsSnapshot delta =
+        MetricRegistry::Default().Scrape().Diff(before);
+    auto counter = [&](const std::string& name) -> uint64_t {
+      for (const auto& [n, v] : delta.counters) {
+        if (n == name) return v;
+      }
+      return 0;
+    };
+
+    uint64_t pivots = 0, refactorizations = 0, nodes = 0, ran = 0;
+    int pop_attempts = 0;
+    for (const LedgerRecord& rec : r->report.records) {
+      for (const SolveAttempt* a : {&rec.primary, &rec.secondary}) {
+        pivots += a->cg.lp_iterations + a->mip.lp_iterations;
+        refactorizations += a->cg.refactorizations + a->mip.refactorizations;
+        nodes += a->mip.nodes;
+        const bool run = a->outcome == AttemptOutcome::kOk ||
+                         a->outcome == AttemptOutcome::kFailed;
+        ran += run;
+        if (run && !rec.reused && rec.bound_source == "pop") {
+          ++pop_attempts;
+          EXPECT_GT(a->cg.lp_iterations + a->mip.lp_iterations, 0);
+          EXPECT_FALSE(a->cg.has_lp_bound);
+          EXPECT_FALSE(a->mip.bound_proven);
+          EXPECT_FALSE(a->mip.has_root_lp);
+          EXPECT_FALSE(rec.bound_tightened);
+        }
+      }
+    }
+    EXPECT_GT(pop_attempts, 0);
+    EXPECT_GT(pivots, 0u);
+    EXPECT_EQ(counter("solver.lp_pivots"), pivots);
+    EXPECT_EQ(counter("solver.refactorizations"), refactorizations);
+    EXPECT_EQ(counter("solver.bnb_nodes"), nodes);
+    EXPECT_EQ(counter("pool.cg_picks") + counter("pool.mip_picks"), ran);
   }
 }
 
