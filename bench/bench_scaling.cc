@@ -10,9 +10,15 @@
 //      measured numbers are still reported (and written to JSON) but the
 //      threshold is not asserted: there is nothing to scale onto.
 //
-// Machine-readable output: BENCH_scaling.json (threads -> seconds, speedup,
-// gained affinity per cluster).
+// Each row also records critical_s, the longest single subproblem solve: the
+// parallel pool fans out whole subproblems, so a row whose critical_s is
+// most of its seconds cannot speed up, and a flat 1.0x explains itself.
+// critical_s never exceeds the row's seconds; the bench fails if it does.
+//
+// Machine-readable output: BENCH_scaling.json (threads -> seconds,
+// critical_s, speedup, gained affinity per cluster).
 
+#include <algorithm>
 #include <optional>
 #include <thread>
 
@@ -39,6 +45,7 @@ int main() {
   BenchJsonWriter json("scaling");
 
   int mismatches = 0;
+  int critical_over_wall = 0;
   double largest_cluster_speedup8 = 0.0;
   std::string largest_cluster;
   int largest_containers = 0;
@@ -47,8 +54,8 @@ int main() {
     std::printf("%s (%d services, %d machines):\n", snapshot.name.c_str(),
                 snapshot.cluster->num_services(),
                 snapshot.cluster->num_machines());
-    std::printf("  %8s %10s %9s %14s %10s\n", "threads", "seconds", "speedup",
-                "gained_aff", "identical");
+    std::printf("  %8s %10s %10s %9s %14s %10s\n", "threads", "seconds",
+                "critical_s", "speedup", "gained_aff", "identical");
     std::optional<RasaResult> sequential;
     double sequential_seconds = 0.0;
     for (int threads : thread_counts) {
@@ -62,6 +69,11 @@ int main() {
           optimizer.Optimize(*snapshot.cluster, snapshot.original_placement);
       const double seconds = timer.ElapsedSeconds();
       RASA_CHECK(result.ok()) << result.status().ToString();
+      double critical_s = 0.0;
+      for (const LedgerRecord& rec : result->report.records) {
+        if (!rec.reused) critical_s = std::max(critical_s, rec.seconds);
+      }
+      if (critical_s > seconds) ++critical_over_wall;
 
       bool identical = true;
       double speedup = 1.0;
@@ -79,12 +91,14 @@ int main() {
       const double gained = sequential.has_value() && threads > 1
                                 ? result->new_gained_affinity
                                 : sequential->new_gained_affinity;
-      std::printf("  %8d %10.3f %8.2fx %14.6f %10s\n", threads, seconds,
-                  speedup, gained, identical ? "yes" : "NO");
+      std::printf("  %8d %10.3f %10.3f %8.2fx %14.6f %10s\n", threads,
+                  seconds, critical_s, speedup, gained,
+                  identical ? "yes" : "NO");
       json.BeginRow()
           .Field("cluster", snapshot.name)
           .Field("threads", threads)
           .Field("seconds", seconds)
+          .Field("critical_s", critical_s)
           .Field("speedup", speedup)
           .Field("gained_affinity", gained)
           .Field("identical_to_sequential", identical);
@@ -102,6 +116,13 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: %d parallel run(s) diverged from sequential\n",
                  mismatches);
+    return 1;
+  }
+  if (critical_over_wall > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %d row(s) with a subproblem solve longer than the "
+                 "whole Optimize\n",
+                 critical_over_wall);
     return 1;
   }
   std::printf("all parallel placements bit-identical to sequential\n");
