@@ -14,6 +14,7 @@
 #include "cluster/generator.h"
 #include "common/json_writer.h"
 #include "common/logging.h"
+#include "common/strings.h"
 #include "core/explain.h"
 #include "core/objective.h"
 #include "core/rasa.h"
@@ -249,6 +250,41 @@ TEST(ExplainTest, JsonAndTextRenderings) {
   for (const char* needle : {"certificate", "waterfall", "p50", "p95"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
+}
+
+// A POP split's MIP attempts carry no bound (their certificate term is the
+// trivial one), so the text report must not print a gap for them: a
+// "gap=0" would read as a proven optimum. GoldenDigestTest.PopSplit's
+// inputs with every subproblem labelled MIP.
+TEST(ExplainTest, PopMipAttemptsPrintNoGap) {
+  const ClusterSnapshot snapshot = testing::MakeSnapshot(M1Spec(32.0), 5);
+  RasaOptions options;
+  options.timeout_seconds = 60.0;
+  options.partitioning.max_subproblem_services = 12;
+  options.seed = 17;
+  options.pop.max_services = 6;
+  options.compute_migration = false;
+  const RasaOptimizer optimizer(options,
+                                AlgorithmSelector(SelectorPolicy::kAlwaysMip));
+  StatusOr<RasaResult> result =
+      optimizer.Optimize(*snapshot.cluster, snapshot.original_placement);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::string text = FormatExplainReport(result->report);
+  int pop_mip_lines = 0;
+  for (const LedgerRecord& r : result->report.records) {
+    if (r.bound_source != "pop" || !r.primary.has_mip) continue;
+    const size_t header = text.find(
+        StrFormat("  #%d (pos %d,", r.subproblem, r.position));
+    ASSERT_NE(header, std::string::npos) << r.subproblem;
+    const size_t begin = text.find("primary:", header);
+    ASSERT_NE(begin, std::string::npos);
+    const std::string line = text.substr(begin, text.find('\n', begin) - begin);
+    SCOPED_TRACE(line);
+    EXPECT_NE(line.find("no bound"), std::string::npos);
+    EXPECT_EQ(line.find("gap="), std::string::npos);
+    ++pop_mip_lines;
+  }
+  EXPECT_GT(pop_mip_lines, 0);
 }
 
 }  // namespace
