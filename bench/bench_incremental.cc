@@ -75,9 +75,9 @@ int main() {
   RasaOptions options;
   // Solver-bound, not deadline-bound: the timing comparison must measure
   // the work skipped, not a budget cap. Subproblems must be small enough to
-  // *converge* inside the budget — a non-convergent MIP is elastic and
-  // expands to fill whatever deadline slice it gets, which would make every
-  // cycle cost exactly the budget no matter how many partitions are reused.
+  // *converge* inside the budget — a non-convergent MIP runs until its
+  // planned work cap, which grows with the budget, and would make every
+  // cycle cost that cap no matter how many partitions are reused.
   options.timeout_seconds = 10.0 * BenchTimeout();
   options.partitioning.max_subproblem_services = 12;
   options.compute_migration = false;

@@ -40,7 +40,7 @@ struct CgStats {
   /// it with the realized value (see explain.h).
   double lp_objective = 0.0;
   bool has_lp_bound = false;
-  /// Simplex pivots across all master solves, with the phase-1 share.
+  /// LpResult::iterations over all master solves, with the phase-1 share.
   int lp_iterations = 0;
   int lp_phase1_iterations = 0;
   /// Master solves that started from a supplied basis: the slack crash

@@ -277,6 +277,7 @@ StatusOr<SubproblemSolution> SolveSubproblemMipGrouped(
   MipOptions mip_options;
   mip_options.deadline = options.deadline;
   mip_options.relative_gap = options.relative_gap;
+  mip_options.max_lp_iterations = options.max_lp_iterations;
   MipResult mip = SolveMip(model, mip_options);
   if (!mip.has_solution()) {
     Placement scratch = base;
@@ -418,6 +419,7 @@ StatusOr<SubproblemSolution> SolveSubproblemMip(
   MipOptions mip_options;
   mip_options.deadline = options.deadline;
   mip_options.relative_gap = options.relative_gap;
+  mip_options.max_lp_iterations = options.max_lp_iterations;
   mip_options.initial_solution = warm;
   MipResult result = SolveMip(mip.model, mip_options);
   FillMipStats(result, stats);

@@ -30,6 +30,7 @@ struct SubproblemMipStats {
   bool has_root_lp = false;
   double relative_gap = 0.0;
   int nodes = 0;
+  /// LpResult::iterations over all node and dive LPs: the capped work.
   int lp_iterations = 0;
   /// Node LPs that accepted a parent-basis warm start (the root is always
   /// cold, so the hit-rate denominator is nodes - 1).
@@ -48,6 +49,8 @@ struct MipAlgorithmOptions {
   /// report as OOT (the NO-PARTITION behaviour of §V-B).
   int max_model_rows = 2000;
   double relative_gap = 1e-4;
+  /// Branch-and-bound work cap (MipOptions::max_lp_iterations); <= 0: none.
+  int max_lp_iterations = 0;
   /// Optional feasible placement (the incremental path's prior incumbent)
   /// offered as the branch-and-bound warm start when it beats the greedy
   /// one. Only its counts on the subproblem's own (service, machine) pairs

@@ -22,6 +22,7 @@ class ThreadPool;
 struct RasaOptions {
   PartitioningOptions partitioning;
   /// Global time budget: the scaled stand-in for the paper's one-minute SLO.
+  /// Planned into per-subproblem budgets; its deadline is a safety cap only.
   double timeout_seconds = 2.0;
   /// Dry-run threshold (§III-B): only produce a migration plan when gained
   /// affinity improves by at least this relative amount.
@@ -48,7 +49,7 @@ struct RasaOptions {
   /// Disabled by default (`pop.max_services == 0`) so the paper-scale
   /// pipeline and its certificates are byte-for-byte unchanged; the
   /// full-scale bench turns it on to keep scale-factor-1 subproblems
-  /// inside their budget slices.
+  /// inside their planned budgets.
   PopOptions pop;
 };
 

@@ -45,7 +45,7 @@ struct LedgerRecord {
   /// attempts read kNotRun).
   bool reused = false;
 
-  double budget_seconds = 0.0;  // primary's reserved budget share
+  double budget_seconds = 0.0;  // planned share of the timeout; sets B&B cap
   double seconds = 0.0;         // wall-clock of the subproblem's solve
 
   /// What the winning rung realized inside the subproblem.

@@ -4,9 +4,9 @@
 // count. `SubproblemReport.seconds` is wall-clock and is deliberately
 // excluded from the comparisons.
 //
-// The solver budgets here are either generous (every subproblem completes
-// well inside its reserved slice, so Deadline::Expired() never fires
-// mid-solve) or zero (the ladder collapses straight to the greedy). Both
+// Every solve stops on its planned work caps, never on a clock, so the
+// timeout here is either generous (the global deadline, a safety cap only,
+// never fires) or zero (the ladder collapses straight to the greedy). Both
 // regimes are scheduling-independent; see DESIGN.md "Threading model".
 
 #include <algorithm>
@@ -47,7 +47,7 @@ TEST(RasaDeterminismTest, ParallelMatchesSequentialAcrossSeeds) {
     SCOPED_TRACE(::testing::Message() << "cluster seed " << seed);
     const ClusterSnapshot snapshot = MakeCluster(seed);
     RasaOptions options;
-    // Generous budget: no solve may be cut off mid-flight, otherwise the
+    // Generous timeout: the global deadline must not fire, otherwise the
     // comparison would be racing the wall clock instead of the merge.
     options.timeout_seconds = 30.0;
     options.seed = seed * 31 + 7;

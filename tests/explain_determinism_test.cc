@@ -27,8 +27,9 @@ ClusterSnapshot MakeCluster(uint64_t seed) {
 
 RasaResult RunOptimize(const ClusterSnapshot& snapshot, int threads) {
   RasaOptions options;
-  // Generous budget + small subproblems: no solve is ever cut off
-  // mid-flight, so the comparison never races the wall clock.
+  // Generous timeout + small subproblems: every solve stops on its planned
+  // work caps and the global deadline never fires, so the comparison never
+  // races the wall clock.
   options.timeout_seconds = 30.0;
   options.seed = 1234;
   return testing::OptimizeSmallSubproblems(snapshot, options, threads);

@@ -8,9 +8,10 @@
 // %.17g, the placement triples, every RasaResult counter, each
 // SubproblemReport without `seconds`, and the explain report without
 // timings — every ledger record (no `seconds` / `budget_seconds`) and every
-// certificate term. Budgets are generous (no solve races its deadline) or
-// zero (every rung expires), the two scheduling-independent regimes of
-// DESIGN.md "Threading model".
+// certificate term. Timeouts are generous (every solve stops on its
+// planned work caps and the global deadline never fires) or zero (every
+// rung expires), the two scheduling-independent regimes of DESIGN.md
+// "Threading model".
 //
 // A deliberate behaviour change re-pins a digest: the failure message
 // prints the new value; say in the change description why it moved.

@@ -41,8 +41,9 @@ const ClusterSnapshot& TestSnapshot() {
   return *snapshot;
 }
 
-// Bounded subproblems and a generous budget: no solve races its deadline,
-// so every run is scheduling-independent.
+// Bounded subproblems and a generous timeout: every solve stops on its
+// planned work caps and the global deadline never fires, so every run is
+// scheduling-independent.
 WorkflowOptions BaseOptions(int threads) {
   WorkflowOptions options;
   options.cycles = 3;

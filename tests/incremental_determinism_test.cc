@@ -6,7 +6,7 @@
 // replay an incremental workflow to the same final placement as the
 // uninterrupted run.
 //
-// Solver budgets are generous so no deadline fires mid-solve (see
+// Timeouts are generous so the global deadline never fires mid-solve (see
 // core_rasa_determinism_test.cc for the reasoning).
 
 #include <cstdio>

@@ -26,8 +26,9 @@ ClusterSnapshot MakeCluster(uint64_t seed) {
 
 RasaResult RunOptimize(const ClusterSnapshot& snapshot, int threads) {
   RasaOptions options;
-  // Generous budget + small subproblems: no solve is ever cut off
-  // mid-flight, so the comparison never races the wall clock (same regime
+  // Generous timeout + small subproblems: every solve stops on its planned
+  // work caps and the global deadline never fires, so the comparison never
+  // races the wall clock (same regime
   // as core_rasa_determinism_test).
   options.timeout_seconds = 30.0;
   options.seed = 1234;

@@ -40,7 +40,7 @@ inline ClusterSnapshot MakeSnapshot(ClusterSpec spec, uint64_t seed) {
 
 /// Optimize with the heuristic selector and small subproblems (12
 /// services), which keep the exact solvers' worst case well inside a
-/// generous budget: bounded, scheduling-independent work.
+/// generous timeout: bounded, scheduling-independent work.
 inline RasaResult OptimizeSmallSubproblems(const ClusterSnapshot& snapshot,
                                            RasaOptions options,
                                            int threads) {

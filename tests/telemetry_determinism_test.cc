@@ -28,8 +28,9 @@ WorkflowReport RunOnce(const ClusterSnapshot& snapshot, int threads,
   WorkflowOptions options;
   options.cycles = 3;
   options.seed = 515;
-  // Generous budget + small subproblems: no solve is ever cut off
-  // mid-flight, so the comparison never races the wall clock (same regime
+  // Generous timeout + small subproblems: every solve stops on its planned
+  // work caps and the global deadline never fires, so the comparison never
+  // races the wall clock (same regime
   // as the other determinism suites).
   options.rasa.timeout_seconds = 30.0;
   options.rasa.num_threads = threads;

@@ -38,11 +38,11 @@ const ClusterSnapshot& TestSnapshot() {
 WorkflowOptions BaseOptions(int threads) {
   WorkflowOptions options;
   options.cycles = 3;
-  // Bounded subproblems plus a generous deadline: the solve finishes well
-  // inside its slice even when ctest runs the whole suite in parallel, so
-  // Deadline::Expired() never fires and the output is bit-reproducible
-  // regardless of machine load (same reasoning as
-  // core_rasa_determinism_test).
+  // Bounded subproblems plus a generous deadline: every solve stops on its
+  // planned work caps well inside the timeout even when ctest runs the
+  // whole suite in parallel, so Deadline::Expired() never fires and the
+  // output is bit-reproducible regardless of machine load (same reasoning
+  // as core_rasa_determinism_test).
   options.rasa.timeout_seconds = 15.0;
   options.rasa.partitioning.max_subproblem_services = 12;
   options.rasa.num_threads = threads;
