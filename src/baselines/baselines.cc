@@ -129,16 +129,17 @@ StatusOr<BaselineResult> RunPop(const Cluster& cluster,
     subproblems[i % partitions].machines.push_back(machines[i]);
   }
 
+  // One planned budget per partition; the deadline is only a safety cap.
+  const double budget =
+      std::max(0.02, deadline.RemainingSeconds() / partitions);
   Placement working(cluster);  // POP reschedules everything
   std::vector<int> unplaced(N, 0);
   for (Subproblem& sp : subproblems) {
     PopulateSubproblemEdges(cluster, sp);
-    const double share = deadline.RemainingSeconds() /
-                         std::max(1, partitions);
     SolveAttempt attempt;
-    StatusOr<SubproblemSolution> solution = RunPoolAlgorithm(
-        PoolAlgorithm::kMip, cluster, sp, working, current,
-        deadline.ClampedToSeconds(std::max(0.02, share)), &attempt);
+    StatusOr<SubproblemSolution> solution =
+        RunPoolAlgorithm(PoolAlgorithm::kMip, cluster, sp, working, current,
+                         deadline, budget, &attempt);
     std::vector<int> placed(N, 0);
     if (!solution.ok()) {
       // Solver ran out of time/memory on this subcluster: greedy fallback,

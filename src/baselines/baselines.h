@@ -32,8 +32,8 @@ StatusOr<BaselineResult> RunK8sPlus(const Cluster& cluster,
                                     const Deadline& deadline, uint64_t seed);
 
 /// POP [23]: uniformly random service/machine partition into `partitions`
-/// subclusters (0 = auto), each solved with the solver-based MIP under an
-/// equal share of the deadline, then recombined.
+/// subclusters (0 = auto), each solved with the solver-based MIP on an
+/// equal planned share of the time left (RunPoolAlgorithm), then recombined.
 StatusOr<BaselineResult> RunPop(const Cluster& cluster,
                                 const Placement& current,
                                 const Deadline& deadline, uint64_t seed,

@@ -53,19 +53,18 @@ SelectorDataset GenerateSelectorDataset(
         // training set, depend on them.
         rng.Next();
         rng.Next();
-        const Deadline deadline =
-            Deadline::AfterSeconds(options.label_timeout_seconds);
+        // Each label solve plans the label timeout as its budget, so the
+        // labels say which solver wins under the caps production applies.
+        const double budget = options.label_timeout_seconds;
         SolveAttempt attempt;
         StatusOr<SubproblemSolution> cg = RunPoolAlgorithm(
             PoolAlgorithm::kCg, *snapshot->cluster, sp,
-            partition.base_placement, snapshot->original_placement, deadline,
-            &attempt);
-        const Deadline deadline2 =
-            Deadline::AfterSeconds(options.label_timeout_seconds);
+            partition.base_placement, snapshot->original_placement,
+            Deadline::AfterSeconds(budget), budget, &attempt);
         StatusOr<SubproblemSolution> mip = RunPoolAlgorithm(
             PoolAlgorithm::kMip, *snapshot->cluster, sp,
-            partition.base_placement, snapshot->original_placement, deadline2,
-            &attempt);
+            partition.base_placement, snapshot->original_placement,
+            Deadline::AfterSeconds(budget), budget, &attempt);
         sample.cg_objective = cg.ok() ? cg->gained_affinity : -1.0;
         sample.mip_objective = mip.ok() ? mip->gained_affinity : -1.0;
         // Label by objective; exact ties go to MIP (its answer is certified

@@ -784,9 +784,10 @@ LpResult RevisedSimplex::Solve() {
   }
 
   BuildStandardForm();
-  max_iterations_ = options_.max_iterations > 0
-                        ? options_.max_iterations
-                        : 200 * (m_ + n_struct_) + 2000;
+  max_iterations_ = 200 * (m_ + n_struct_) + 2000;
+  if (options_.max_iterations > 0) {
+    max_iterations_ = std::min(max_iterations_, options_.max_iterations);
+  }
 
   if (options_.warm_basis != nullptr && !options_.warm_basis->empty() &&
       TryWarmStart()) {

@@ -452,7 +452,7 @@ TEST(PoolTest, RunPoolAlgorithmDispatches) {
     SolveAttempt attempt;
     StatusOr<SubproblemSolution> solution =
         RunPoolAlgorithm(algo, *c.cluster, c.sp, c.base, original,
-                         Deadline::AfterSeconds(2), &attempt);
+                         Deadline::AfterSeconds(2), 2.0, &attempt);
     ASSERT_TRUE(solution.ok()) << PoolAlgorithmToString(algo);
     EXPECT_NEAR(solution->gained_affinity, 1.0, 1e-6);
     EXPECT_EQ(attempt.algorithm, algo);

@@ -74,7 +74,7 @@ TEST(PopSplitTest, UnionIsCapacitySoundAndRepriced) {
     SolveAttempt stats;
     StatusOr<SubproblemSolution> solved = RunPoolAlgorithmPop(
         algorithm, *cluster, sp, base, base, Deadline::AfterSeconds(10.0),
-        /*seed=*/7, options, &stats, nullptr, &pop);
+        /*budget_seconds=*/10.0, /*seed=*/7, options, &stats, nullptr, &pop);
     ASSERT_TRUE(solved.ok()) << solved.status().ToString();
 
     EXPECT_EQ(pop.replicas, 2);
@@ -144,7 +144,8 @@ TEST(PopSplitTest, AttemptFailsPredictsTheRun) {
                            algorithm, *snapshot.cluster, sp,
                            partition.base_placement,
                            snapshot.original_placement,
-                           Deadline::AfterSeconds(0.0), seed, options, &attempt)
+                           Deadline::AfterSeconds(0.0), 0.0, seed, options,
+                           &attempt)
                            .ok();
           EXPECT_EQ(PopAttemptFails(algorithm, *snapshot.cluster, sp, seed,
                                     options),

@@ -99,7 +99,7 @@ TEST(ScaleSubstrateTest, M4PartitionAndSolveWithinMemoryBudget) {
   StatusOr<SubproblemSolution> solved = RunPoolAlgorithm(
       PoolAlgorithm::kCg, *snapshot->cluster, *largest,
       partition.base_placement, snapshot->original_placement,
-      Deadline::AfterSeconds(30.0), &stats);
+      Deadline::AfterSeconds(30.0), 30.0, &stats);
   EXPECT_TRUE(solved.ok()) << solved.status().ToString();
 
   const size_t peak = PeakRssBytes();
