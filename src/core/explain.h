@@ -7,54 +7,50 @@
 #include "cluster/cluster.h"
 #include "cluster/placement.h"
 #include "common/json_writer.h"
-#include "core/local_search.h"
 #include "core/solve_ledger.h"
 
 namespace rasa {
 
-/// Provable upper bound on the gained affinity achievable by the RASA
-/// pipeline at this partition, against what the run actually achieved.
+/// Upper bound on the gained affinity achievable by the RASA pipeline at
+/// this partition, against what the run actually achieved.
 ///
 /// Construction: every affinity edge contributes at most its full weight,
 /// so edges external to all subproblems (cut edges + edges touching trivial
 /// services) are charged in full as `external_affinity`. Each subproblem's
-/// internal edges are charged min(internal_affinity, solver bound), where
-/// the solver bound is only trusted when (a) the solver proved it
-/// (MipResult::bound_proven, or a solved CG master LP capped by the
-/// realized value) and (b) the subproblem placed every container inside its
-/// own machines (unplaced == 0) — otherwise the fallback may localize
-/// internal edges on machines the solver never modeled, voiding its bound.
-/// Local search moves containers across subproblem boundaries, so its
-/// realized delta is credited to the bound rather than certified. The
+/// internal edges are charged min(internal_affinity, solver bound). The
+/// solver bound is only used when (a) the solver reported one — a proven
+/// B&B dual bound (MipResult::bound_proven, source "mip") or a solved CG
+/// master LP capped by the realized value (source "cg-lp") — and (b) the
+/// subproblem placed every container inside its own machines
+/// (unplaced == 0); otherwise the fallback may localize internal edges on
+/// machines the solver never modeled. Only "mip" and "trivial" terms are
+/// proven: a "cg-lp" term is the objective of the last restricted master,
+/// which bounds only the patterns generated so far, so it is an estimate
+/// that a feasible placement can exceed (ROADMAP item 10). The
 /// per-subproblem terms live on the run's ledger records
 /// (LedgerRecord::certificate_bound, bound_tightened, bound_source).
 struct QualityCertificate {
-  /// Gained affinity after merge + fallback, before local search (A3).
-  double achieved_solver_phase = 0.0;
-  /// Final gained affinity of the run (A4 == RasaResult::new_gained_affinity).
-  double achieved_final = 0.0;
+  /// The run's gained affinity after merge + fallback (A3 ==
+  /// RasaResult::new_gained_affinity).
+  double achieved = 0.0;
 
   /// Weight of edges not internal to any subproblem, charged in full.
   double external_affinity = 0.0;
   double sum_internal_affinity = 0.0;
   /// external_affinity + sum of the records' certificate terms.
-  double bound_solver_phase = 0.0;
-  /// max(0, local-search delta): realized, not certified (see above).
-  double local_search_credit = 0.0;
-  /// bound_solver_phase + local_search_credit; achieved_final <= bound_final.
-  double bound_final = 0.0;
+  double bound = 0.0;
 
   int tightened_terms = 0;
 
   /// Relative optimality gap of the run: (bound - achieved) / max(bound, eps).
   double Gap() const;
-  /// achieved_final / bound_final in [0, 1]; 1 when the bound is met.
+  /// achieved / bound in [0, 1]; 1 when the bound is met.
   double Ratio() const;
 };
 
 /// Waterfall decomposition of the final gained affinity by pipeline phase.
-/// The four terms sum exactly (to rounding) to `total`:
-///   total = base_retained + solver_gain + fallback_delta + local_search_delta.
+/// The three terms sum exactly (to rounding) to `total`:
+///   total = base_retained + solver_gain + fallback_delta.
 struct AttributionWaterfall {
   /// A1: gained affinity of the base placement (trivial residents only).
   double base_retained = 0.0;
@@ -62,9 +58,7 @@ struct AttributionWaterfall {
   double solver_gain = 0.0;
   /// A3 - A2: added (or lost) by the default-scheduler fallback.
   double fallback_delta = 0.0;
-  /// A4 - A3: added by the optional local-search refinement.
-  double local_search_delta = 0.0;
-  /// A4: the run's final gained affinity.
+  /// A3: the run's final gained affinity.
   double total = 0.0;
 
   // Context (not part of the sum):
@@ -74,9 +68,7 @@ struct AttributionWaterfall {
   double partition_cut_affinity = 0.0;
   double original_gained_affinity = 0.0;
 
-  double Sum() const {
-    return base_retained + solver_gain + fallback_delta + local_search_delta;
-  }
+  double Sum() const { return base_retained + solver_gain + fallback_delta; }
 };
 
 /// Who moved and which traffic got localized, naming names.
@@ -116,8 +108,6 @@ struct ExplainReport {
   AttributionWaterfall waterfall;
   PlacementDiffAudit diff;
   std::vector<LedgerRecord> records;
-  bool local_search_ran = false;
-  LocalSearchStats local_search;
 };
 
 /// One walk of every service's machine map in `before` against `after`

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/greedy.h"
-#include "core/local_search.h"
 #include "core/objective.h"
 #include "core/solve_ledger.h"
 
@@ -596,33 +595,17 @@ bool FallbackStage(const Cluster& cluster, const std::vector<int>& unplaced,
   return placed;
 }
 
-// Optional extension: local-search refinement with the leftover budget.
-// Returns whether it moved any container.
-bool LocalSearchStage(const Cluster& cluster, const RasaOptions& options,
-                      const Deadline& deadline, Placement& working,
-                      ExplainReport& explain) {
-  if (!options.refine_with_local_search || deadline.Expired()) return false;
-  const TraceSpan span("local_search");
-  LocalSearchOptions ls;
-  ls.deadline = deadline;
-  explain.local_search = RefinePlacement(cluster, working, ls);
-  explain.local_search_ran = true;
-  return explain.local_search.moves_applied +
-             explain.local_search.swaps_applied >
-         0;
-}
-
 // Explain report: the rest of the attribution waterfall (Optimize
-// recorded the merge and fallback steps), the optimality-gap certificate
-// anchored to the solver-phase value, and the placement diff from the walk
-// of the current placement against the final one and their edge ratios.
-// The records, each with its certificate term, were completed by the
-// merge. Observation-only — nothing here touches the placement.
+// recorded its steps), the optimality-gap certificate on the run's final
+// value, and the placement diff from the walk of the current placement
+// against the final one and their edge ratios. The records, each with its
+// certificate term, were completed by the merge. Observation-only —
+// nothing here touches the placement.
 void ExplainStage(const Cluster& cluster, const PartitionResult& partition,
                   const PlacementChange& change,
                   const std::vector<double>& current_ratios,
                   const std::vector<double>& final_ratios,
-                  double solver_phase, RasaResult& result) {
+                  RasaResult& result) {
   ExplainReport& explain = result.report;
   explain.populated = true;
 
@@ -634,24 +617,19 @@ void ExplainStage(const Cluster& cluster, const PartitionResult& partition,
   const double external = std::max(0.0, total_weight - sum_internal);
 
   AttributionWaterfall& wf = explain.waterfall;
-  wf.local_search_delta = result.new_gained_affinity - solver_phase;
   wf.total = result.new_gained_affinity;
   wf.partition_cut_affinity = external;
   wf.original_gained_affinity = result.original_gained_affinity;
 
   QualityCertificate& cert = explain.certificate;
-  cert.achieved_solver_phase = solver_phase;
-  cert.achieved_final = result.new_gained_affinity;
+  cert.achieved = result.new_gained_affinity;
   cert.sum_internal_affinity = sum_internal;
   cert.external_affinity = external;
-  double bound = external;
+  cert.bound = external;
   for (const LedgerRecord& rec : explain.records) {
-    bound += rec.certificate_bound;
+    cert.bound += rec.certificate_bound;
     if (rec.bound_tightened) ++cert.tightened_terms;
   }
-  cert.bound_solver_phase = bound;
-  cert.local_search_credit = std::max(0.0, wf.local_search_delta);
-  cert.bound_final = cert.bound_solver_phase + cert.local_search_credit;
 
   explain.diff =
       BuildPlacementDiff(cluster, change, current_ratios, final_ratios);
@@ -843,7 +821,7 @@ StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
   // Certify: score the placements the run went through. Attribution
   // waterfall: the trivial residents the partition kept in place, what the
   // subproblem solvers delivered at merge, what the default-scheduler
-  // fallback added (the solver-phase value). Each edge of the current
+  // fallback added (the run's final value). Each edge of the current
   // placement is scored once; every later figure re-scores only the edges
   // with an end whose machine map changed and sums in edge order, so it
   // equals GainedAffinity bit for bit.
@@ -874,18 +852,13 @@ StatusOr<RasaResult> RasaOptimizer::Optimize(const Cluster& cluster,
     };
     const double merged_affinity = score_working();
     wf.solver_gain = merged_affinity - wf.base_retained;
-    const double solver_phase =
+    result.new_gained_affinity =
         FallbackStage(cluster, merged.unplaced, working, result)
             ? score_working()
             : merged_affinity;
-    wf.fallback_delta = solver_phase - merged_affinity;
-    result.new_gained_affinity =
-        LocalSearchStage(cluster, options_, deadline, working, result.report)
-            ? score_working()
-            : solver_phase;
+    wf.fallback_delta = result.new_gained_affinity - merged_affinity;
     result.moved_containers = change.moved_containers;
-    ExplainStage(cluster, partition, change, current_ratios, ratios,
-                 solver_phase, result);
+    ExplainStage(cluster, partition, change, current_ratios, ratios, result);
   }
 
   // Dry-run rule (§III-B): execute only on >= min_improvement relative gain.

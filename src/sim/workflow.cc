@@ -374,12 +374,11 @@ Status WorkflowRunner::CycleTail(int cycle, CycleReport cr, Stopwatch& timer,
   report_.cycles.push_back(std::move(cr));
 
   // Re-base the delta cache on the placement the cycle actually ended with
-  // (local search moves trivial containers, executions go partial, plans
-  // roll back) so the next diff sees only real drift. Runs in the recovery
-  // tail too — it is a pure function of (state, live placement), which is
-  // what keeps `--resume` bit-identical: recovery decodes the journaled
-  // pre-decision state and re-derives the same re-base from the
-  // rolled-forward placement.
+  // (executions go partial, plans roll back) so the next diff sees only
+  // real drift. Runs in the recovery tail too — it is a pure function of
+  // (state, live placement), which is what keeps `--resume` bit-identical:
+  // recovery decodes the journaled pre-decision state and re-derives the
+  // same re-base from the rolled-forward placement.
   if (options_.incremental && inc_state_.valid) {
     RebaseIncrementalState(cluster_, live_, &inc_state_);
   }

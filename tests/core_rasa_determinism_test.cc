@@ -59,16 +59,6 @@ TEST(RasaDeterminismTest, ParallelMatchesSequentialAcrossSeeds) {
   }
 }
 
-TEST(RasaDeterminismTest, ParallelMatchesSequentialWithLocalSearch) {
-  const ClusterSnapshot snapshot = MakeCluster(77);
-  RasaOptions options;
-  options.timeout_seconds = 30.0;
-  options.refine_with_local_search = true;
-  const RasaResult seq = RunOptimize(snapshot, options, 1);
-  const RasaResult par = RunOptimize(snapshot, options, 4);
-  ExpectIdenticalResults(seq, par);
-}
-
 // Exhausted budget: every rung of the ladder is skipped as expired and all
 // subproblems fall to the greedy — the all-expired path must also be
 // scheduling-independent.

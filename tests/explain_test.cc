@@ -29,12 +29,11 @@ ClusterSnapshot MakeCluster(uint64_t seed, double scale = 64.0) {
 }
 
 RasaResult RunRasa(const ClusterSnapshot& snapshot, SelectorPolicy policy,
-                   uint64_t seed, bool local_search = false) {
+                   uint64_t seed) {
   RasaOptions options;
   options.timeout_seconds = 10.0;
   options.seed = seed;
   options.compute_migration = false;
-  options.refine_with_local_search = local_search;
   RasaOptimizer optimizer(options, AlgorithmSelector(policy));
   StatusOr<RasaResult> result =
       optimizer.Optimize(*snapshot.cluster, snapshot.original_placement);
@@ -45,9 +44,8 @@ RasaResult RunRasa(const ClusterSnapshot& snapshot, SelectorPolicy policy,
 void ExpectCertificateSound(const RasaResult& result) {
   const QualityCertificate& cert = result.report.certificate;
   constexpr double kEps = 1e-9;
-  EXPECT_LE(cert.achieved_solver_phase, cert.bound_solver_phase + kEps);
-  EXPECT_LE(cert.achieved_final, cert.bound_final + kEps);
-  EXPECT_DOUBLE_EQ(cert.achieved_final, result.new_gained_affinity);
+  EXPECT_LE(cert.achieved, cert.bound + kEps);
+  EXPECT_DOUBLE_EQ(cert.achieved, result.new_gained_affinity);
   EXPECT_GE(cert.Gap(), 0.0);
   EXPECT_GE(cert.Ratio(), 0.0);
   EXPECT_LE(cert.Ratio(), 1.0);
@@ -67,10 +65,7 @@ void ExpectCertificateSound(const RasaResult& result) {
     sum_terms += rec.certificate_bound;
   }
   EXPECT_EQ(tightened, cert.tightened_terms);
-  EXPECT_NEAR(cert.bound_solver_phase, cert.external_affinity + sum_terms,
-              1e-9);
-  EXPECT_NEAR(cert.bound_final,
-              cert.bound_solver_phase + cert.local_search_credit, 1e-9);
+  EXPECT_NEAR(cert.bound, cert.external_affinity + sum_terms, 1e-9);
 }
 
 TEST(ExplainTest, CertificateHoldsAcrossSeedsAndPolicies) {
@@ -93,21 +88,14 @@ TEST(ExplainTest, CertificateHoldsAcrossSeedsAndPolicies) {
 
 TEST(ExplainTest, WaterfallSumsToFinalAffinity) {
   const ClusterSnapshot snapshot = MakeCluster(7);
-  for (const bool local_search : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "local_search=" << local_search);
-    const RasaResult result =
-        RunRasa(snapshot, SelectorPolicy::kHeuristic, 9, local_search);
-    const AttributionWaterfall& w = result.report.waterfall;
-    EXPECT_NEAR(w.Sum(), w.total, 1e-6);
-    EXPECT_DOUBLE_EQ(w.total, result.new_gained_affinity);
-    EXPECT_DOUBLE_EQ(w.original_gained_affinity,
-                     result.original_gained_affinity);
-    EXPECT_GE(w.base_retained, 0.0);
-    if (!local_search) {
-      EXPECT_DOUBLE_EQ(w.local_search_delta, 0.0);
-    }
-    EXPECT_EQ(result.report.local_search_ran, local_search);
-  }
+  const RasaResult result = RunRasa(snapshot, SelectorPolicy::kHeuristic, 9);
+  const AttributionWaterfall& w = result.report.waterfall;
+  EXPECT_NEAR(w.Sum(), w.total, 1e-12);
+  EXPECT_DOUBLE_EQ(w.total, result.new_gained_affinity);
+  EXPECT_DOUBLE_EQ(w.total, result.report.certificate.achieved);
+  EXPECT_DOUBLE_EQ(w.original_gained_affinity,
+                   result.original_gained_affinity);
+  EXPECT_GE(w.base_retained, 0.0);
 }
 
 TEST(ExplainTest, RecordsMirrorSubproblemReportsInCanonicalOrder) {
@@ -231,10 +219,29 @@ TEST(ExplainTest, JsonAndTextRenderings) {
   const std::string json = writer.str();
   for (const char* key :
        {"\"certificate\"", "\"waterfall\"", "\"diff\"", "\"records\"",
-        "\"bound_final\"", "\"achieved_final\"", "\"solver_gain\"",
-        "\"seconds\""}) {
+        "\"solver_gain\"", "\"seconds\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+  // The certificate's own keys (before its `terms`, whose entries carry a
+  // per-term "bound") hold exactly one achieved value and one bound.
+  const size_t cert_begin = json.find("\"certificate\"");
+  const size_t terms_begin = json.find("\"terms\"", cert_begin);
+  ASSERT_NE(terms_begin, std::string::npos);
+  const std::string cert_keys =
+      json.substr(cert_begin, terms_begin - cert_begin);
+  auto occurrences = [&cert_keys](const std::string& needle) {
+    int n = 0;
+    for (size_t at = cert_keys.find(needle); at != std::string::npos;
+         at = cert_keys.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("\"achieved\":"), 1) << cert_keys;
+  EXPECT_EQ(occurrences("\"bound\":"), 1) << cert_keys;
+  EXPECT_EQ(occurrences("achieved"), 1) << cert_keys;
+  EXPECT_EQ(occurrences("bound"), 1) << cert_keys;
+  EXPECT_EQ(json.find("local_search"), std::string::npos);
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
@@ -249,6 +256,9 @@ TEST(ExplainTest, JsonAndTextRenderings) {
   const std::string text = FormatExplainReport(result.report);
   for (const char* needle : {"certificate", "waterfall", "p50", "p95"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
+  }
+  for (const char* needle : {"local-search", "Local search"}) {
+    EXPECT_EQ(text.find(needle), std::string::npos) << needle;
   }
 }
 

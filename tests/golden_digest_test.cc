@@ -71,7 +71,7 @@ TEST(GoldenDigestTest, ColdHeuristic) {
     const RasaResult r =
         RunOptimize(BaseOptions(), SelectorPolicy::kHeuristic, threads);
     EXPECT_EQ(r.greedy_fallbacks, 0);
-    EXPECT_EQ(DigestOf(r), "10eb4009b33873dd");
+    EXPECT_EQ(DigestOf(r), "f066c3b4f7a1b275");
   }
 }
 
@@ -83,19 +83,7 @@ TEST(GoldenDigestTest, PopSplit) {
     const RasaResult r =
         RunOptimize(options, SelectorPolicy::kHeuristic, threads);
     EXPECT_GT(r.pop_splits, 0);
-    EXPECT_EQ(DigestOf(r), "280cc43e20eea5bc");
-  }
-}
-
-TEST(GoldenDigestTest, LocalSearch) {
-  RasaOptions options = BaseOptions();
-  options.refine_with_local_search = true;
-  for (int threads : kThreadCounts) {
-    SCOPED_TRACE(::testing::Message() << threads << " threads");
-    const RasaResult r =
-        RunOptimize(options, SelectorPolicy::kHeuristic, threads);
-    EXPECT_TRUE(r.report.local_search_ran);
-    EXPECT_EQ(DigestOf(r), "f96f622ed1f8d049");
+    EXPECT_EQ(DigestOf(r), "27811eacde1e0c66");
   }
 }
 
@@ -107,7 +95,7 @@ TEST(GoldenDigestTest, ZeroTimeout) {
     const RasaResult r =
         RunOptimize(options, SelectorPolicy::kHeuristic, threads);
     EXPECT_EQ(r.greedy_fallbacks, static_cast<int>(r.subproblems.size()));
-    EXPECT_EQ(DigestOf(r), "034e98843c870ff9");
+    EXPECT_EQ(DigestOf(r), "d4cf342585fcc0e2");
   }
 }
 
@@ -126,7 +114,7 @@ TEST(GoldenDigestTest, AlwaysMipHitsRowCap) {
     EXPECT_GT(r.solver_failures, 0);
     EXPECT_GT(r.secondary_successes, 0);
     EXPECT_GT(r.breaker_skips, 0);
-    EXPECT_EQ(DigestOf(r), "7f18b8f2cc30c801");
+    EXPECT_EQ(DigestOf(r), "ead3a03c0fee3f04");
   }
 }
 
@@ -203,7 +191,7 @@ TEST(GoldenDigestTest, IncrementalCycles) {
     EXPECT_GT(dirty_reusing, 0);
     EXPECT_EQ(reasons.front(), "cold-start");
     EXPECT_EQ(reasons.back(), "drift-threshold");
-    EXPECT_EQ(testing::Fnv1a(w.str()), "684794fda5798523");
+    EXPECT_EQ(testing::Fnv1a(w.str()), "018d3f0b460a334d");
   }
 }
 

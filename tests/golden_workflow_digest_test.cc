@@ -224,7 +224,7 @@ TEST(GoldenWorkflowDigestTest, FaultFree) {
     const std::string digest = DigestOfRun(options, "", threads, &report);
     EXPECT_GT(report.executions, 0);
     EXPECT_EQ(report.commands_failed, 0);
-    EXPECT_EQ(digest, "6dffdb04a4e174eb");
+    EXPECT_EQ(digest, "989568898a113bae");
   }
 }
 
@@ -255,7 +255,7 @@ TEST(GoldenWorkflowDigestTest, Chaos) {
     EXPECT_GT(report.solver_failures, 0);
     EXPECT_EQ(report.sla_violations, 0);
     EXPECT_EQ(report.feasibility_violations, 0);
-    EXPECT_EQ(digest, "646db0fa24585030");
+    EXPECT_EQ(digest, "253ce82791befa55");
   }
 }
 
@@ -272,7 +272,7 @@ TEST(GoldenWorkflowDigestTest, DurableIncremental) {
     int reused = 0;
     for (const CycleReport& c : report.cycles) reused += c.reused_subproblems;
     EXPECT_GT(reused, 0);
-    EXPECT_EQ(digest, "a1816c70bece2232");
+    EXPECT_EQ(digest, "685684812975b52f");
   }
 }
 
@@ -285,7 +285,7 @@ TEST(GoldenWorkflowDigestTest, CrashMidCommand) {
     const std::string digest = DigestOfCrashAndResume(
         "mid_command", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.commands_rolled_forward, 0);
-    EXPECT_EQ(digest, "a2e585832f7be9ff");
+    EXPECT_EQ(digest, "61e0b31d71aa9ead");
   }
 }
 
@@ -298,7 +298,7 @@ TEST(GoldenWorkflowDigestTest, CrashMidBatch) {
     const std::string digest = DigestOfCrashAndResume(
         "mid_batch", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.commands_applied_pre_crash, 0);
-    EXPECT_EQ(digest, "3bffd963b1714386");
+    EXPECT_EQ(digest, "735093983e1c4ee4");
   }
 }
 
@@ -311,7 +311,7 @@ TEST(GoldenWorkflowDigestTest, CrashMidDrift) {
     const std::string digest = DigestOfCrashAndResume(
         "mid_drift", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.drift_moves_rolled_forward, 0);
-    EXPECT_EQ(digest, "70d960bddf9f69e8");
+    EXPECT_EQ(digest, "e88db0eb00eb5a4f");
   }
 }
 
@@ -324,7 +324,7 @@ TEST(GoldenWorkflowDigestTest, CrashBeforeCheckpoint) {
     const std::string digest = DigestOfCrashAndResume(
         "pre_checkpoint", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.cycles_completed_from_journal, 0);
-    EXPECT_EQ(digest, "195a4015b2b4ef85");
+    EXPECT_EQ(digest, "afbf8e31c96e0118");
   }
 }
 
@@ -345,7 +345,7 @@ TEST(GoldenWorkflowDigestTest, IncrementalCrashBeforeCheckpoint) {
     int reused = 0;
     for (const CycleReport& c : resumed.cycles) reused += c.reused_subproblems;
     EXPECT_GT(reused, 0);
-    EXPECT_EQ(digest, "ac9eed51fda6e656");
+    EXPECT_EQ(digest, "f9343c39c338dd89");
   }
 }
 
@@ -363,7 +363,7 @@ TEST(GoldenWorkflowDigestTest, CrashUnderCordon) {
     const std::string digest = DigestOfCrashAndResume(
         "cordon", BaseOptions(threads), crash, &resumed);
     EXPECT_GT(resumed.recovery.phases_abandoned, 0);
-    EXPECT_EQ(digest, "4ab07777145be305");
+    EXPECT_EQ(digest, "e2094579509be437");
   }
 }
 
@@ -378,8 +378,8 @@ TEST(GoldenWorkflowDigestTest, TruncatedJournalTail) {
     size_t cut_back;
     const char* digest;
   };
-  for (const Case& c : {Case{7, 19, "d1561ae893a283a3"},
-                        Case{12, 100, "b84719399990e48d"}}) {
+  for (const Case& c : {Case{7, 19, "fa235ad04f220731"},
+                        Case{12, 100, "e35c21a1a675e3bf"}}) {
     for (int threads : kThreadCounts) {
       SCOPED_TRACE(::testing::Message() << c.cut_back << " bytes cut, "
                                         << threads << " threads");
