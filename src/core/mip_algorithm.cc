@@ -25,6 +25,7 @@ void FillMipStats(const MipResult& result, SubproblemMipStats* stats) {
   stats->has_root_lp = result.has_root_lp;
   stats->relative_gap = result.has_solution() ? result.Gap() : 0.0;
   stats->nodes = result.nodes_explored;
+  stats->stop = result.stop;
   stats->lp_iterations = result.lp_iterations;
   stats->warm_started_nodes = result.warm_started_nodes;
   stats->max_node_pivots = result.max_node_pivots;

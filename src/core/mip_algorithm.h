@@ -30,6 +30,8 @@ struct SubproblemMipStats {
   bool has_root_lp = false;
   double relative_gap = 0.0;
   int nodes = 0;
+  /// What stopped the branch-and-bound (MipResult::stop).
+  MipStop stop = MipStop::kNone;
   /// LpResult::iterations over all node and dive LPs: the capped work.
   int lp_iterations = 0;
   /// Node LPs that accepted a parent-basis warm start (the root is always

@@ -66,9 +66,10 @@ PopSplit SplitForPop(const Cluster& cluster, const Subproblem& subproblem,
 }
 
 // Adds one replica's solver work into the split's attempt: counters sum,
-// max_* fields take the max, and `hit_deadline` and `solved` say whether
-// any replica did. Bound and objective fields stay unset, because a
-// replica-local bound does not bound the full subproblem.
+// max_* fields take the max, `hit_deadline` and `solved` say whether any
+// replica did, and `stop` is the first stopped replica's. Bound and
+// objective fields stay unset, because a replica-local bound does not bound
+// the full subproblem.
 void AddReplicaWork(const SolveAttempt& replica, SolveAttempt& split) {
   if (replica.has_cg) {
     const CgStats& r = replica.cg;
@@ -90,6 +91,7 @@ void AddReplicaWork(const SolveAttempt& replica, SolveAttempt& split) {
     split.has_mip = true;
     s.solved = s.solved || r.solved;
     s.nodes += r.nodes;
+    if (s.stop == MipStop::kNone) s.stop = r.stop;
     s.lp_iterations += r.lp_iterations;
     s.warm_started_nodes += r.warm_started_nodes;
     s.max_node_pivots = std::max(s.max_node_pivots, r.max_node_pivots);

@@ -68,10 +68,10 @@ class Spinners {
   std::vector<std::thread> threads_;
 };
 
-// The run stopped on planned work: a branch-and-bound branched and stopped
-// short of its optimum, but not on its node cap (at least 2000 nodes) and
-// not on the deadline (no rung found it gone, and the run ended far inside
-// its timeout), so its work cap stopped it.
+// The run stopped on planned work: a branch-and-bound branched and its
+// work cap stopped it short of its optimum, not its node cap (at least 2000
+// nodes) and not the deadline (no rung found it gone, and the run ended far
+// inside its timeout).
 void ExpectStoppedOnWork(const RasaResult& result) {
   EXPECT_LT(result.elapsed_seconds, kTimeoutSeconds / 2);
   int capped = 0;
@@ -79,8 +79,11 @@ void ExpectStoppedOnWork(const RasaResult& result) {
     EXPECT_NE(rec.primary.outcome, AttemptOutcome::kExpired);
     EXPECT_NE(rec.secondary.outcome, AttemptOutcome::kExpired);
     const SubproblemMipStats& mip = rec.primary.mip;
-    capped += mip.solved && mip.status == MipStatus::kFeasible &&
-              mip.nodes > 1 && mip.nodes < 2000;
+    if (!mip.solved || mip.stop != MipStop::kWorkCap) continue;
+    ++capped;
+    EXPECT_EQ(mip.status, MipStatus::kFeasible);
+    EXPECT_GT(mip.nodes, 1);
+    EXPECT_LT(mip.nodes, 2000);
   }
   EXPECT_GT(capped, 0);
 }
