@@ -12,6 +12,9 @@
 namespace rasa {
 namespace {
 
+// Reduced-cost threshold for accepting a generated pattern.
+constexpr double kPricingTolerance = 1e-7;
+
 // A pattern: container counts per subproblem-local service on one machine.
 struct Pattern {
   int machine = 0;  // local machine index
@@ -674,7 +677,7 @@ StatusOr<SubproblemSolution> CgSolver::Solve(CgStats* stats) {
       }
       double rc = 0.0;
       Pattern p = PricePattern(j, pi, mu[j], &rc);
-      if (rc > options_.pricing_tolerance && !HasPattern(j, p.counts)) {
+      if (rc > kPricingTolerance && !HasPattern(j, p.counts)) {
         added.push_back(std::move(p));
       }
     }

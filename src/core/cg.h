@@ -15,8 +15,6 @@ struct CgOptions {
   Deadline deadline = Deadline::Infinite();
   /// Stop after this many pricing rounds even if improving patterns remain.
   int max_rounds = 40;
-  /// Reduced-cost threshold for accepting a generated pattern.
-  double pricing_tolerance = 1e-7;
   /// Pricing also evaluates adding both endpoints of an affinity edge at
   /// once, which lets the greedy escape "first container looks
   /// unprofitable" traps. Disable for the ablation bench.

@@ -153,7 +153,7 @@ SnapshotDelta DiffSnapshot(const Cluster& cluster, const Placement& current,
           cluster.machine(fresh.machines[k / num_resources])
               .capacity[k % num_resources];
       const double slack =
-          options.residual_tolerance * std::max(capacity, 1e-12);
+          kResidualTolerance * std::max(capacity, 1e-12);
       if (std::fabs(residuals[k] - cache.residuals[k]) > slack) dirty = true;
       if (residuals[k] > cache.residuals[k] + 1e-12) {
         delta.residual_increased[i] = 1;
@@ -170,7 +170,7 @@ SnapshotDelta DiffSnapshot(const Cluster& cluster, const Placement& current,
   delta.dirty_affinity_fraction =
       total_internal > 0.0 ? dirty_internal / total_internal
                            : (delta.num_dirty > 0 ? 1.0 : 0.0);
-  if (delta.dirty_affinity_fraction >= options.full_resolve_fraction) {
+  if (delta.dirty_affinity_fraction >= kFullResolveFraction) {
     delta.full_resolve = true;
     delta.reason = "drift-threshold";
   }

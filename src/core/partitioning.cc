@@ -11,6 +11,14 @@
 namespace rasa {
 namespace {
 
+// The master ratio alpha = kMasterCoefficient * ln(N)^kMasterExponent / N
+// that the paper deploys (§V-B).
+constexpr double kMasterCoefficient = 45.0;
+constexpr double kMasterExponent = 0.66;
+// The paper runs |E| BFS trials of the loss-min partitioner; capped for
+// bounded runtime.
+constexpr int kBfsTrialsCap = 128;
+
 // Removes all containers of `services` from a copy of `current`, leaving the
 // trivial residents (machine shaving, §IV-B5).
 Placement MakeBasePlacement(const Cluster& cluster, const Placement& current,
@@ -38,10 +46,8 @@ std::vector<std::vector<int>> SplitLargeSet(const Cluster& cluster,
   const AffinityGraph sub = cluster.affinity().InducedSubgraph(services);
   const int h = (n + options.max_subproblem_services - 1) /
                 options.max_subproblem_services;
-  const int trials = std::max(1, std::min(sub.num_edges(),
-                                          options.bfs_trials_cap));
-  Partition partition = LossMinBalancedPartition(sub, h, trials, rng,
-                                                 options.balance_factor);
+  const int trials = std::max(1, std::min(sub.num_edges(), kBfsTrialsCap));
+  Partition partition = LossMinBalancedPartition(sub, h, trials, rng);
   std::vector<std::vector<int>> out(partition.num_parts);
   for (int v = 0; v < n; ++v) {
     out[partition.part_of[v]].push_back(services[v]);
@@ -233,8 +239,8 @@ PartitionResult PartitionServices(const Cluster& cluster,
       // Stage 2: master-affinity partitioning by total affinity T(s).
       double alpha = options.master_ratio_override;
       if (alpha < 0.0 || alpha > 1.0) {
-        alpha = MasterRatio(cluster.num_services(), options.master_coefficient,
-                            options.master_exponent);
+        alpha = MasterRatio(cluster.num_services(), kMasterCoefficient,
+                            kMasterExponent);
       }
       result.stats.master_ratio = alpha;
       const int num_master =

@@ -25,17 +25,11 @@ enum class PartitionMode {
 
 struct PartitioningOptions {
   PartitionMode mode = PartitionMode::kMultiStage;
-  /// alpha = master_coefficient * ln(N)^master_exponent / N (§V-B); the
-  /// paper deploys 45 * ln^0.66(N) / N.
-  double master_coefficient = 45.0;
-  double master_exponent = 0.66;
-  /// If in [0, 1], overrides the formula (used by the Fig. 7 sweep).
+  /// If in [0, 1], overrides the paper's master ratio 45 * ln^0.66(N) / N
+  /// (§V-B; used by the Fig. 7 sweep).
   double master_ratio_override = -1.0;
   /// Loss-min balanced partitioning splits any crucial set larger than this.
   int max_subproblem_services = 32;
-  /// The paper runs |E| BFS trials; we cap them for bounded runtime.
-  int bfs_trials_cap = 128;
-  double balance_factor = 2.0;
   uint64_t seed = 7;
 };
 
