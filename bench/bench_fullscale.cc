@@ -3,8 +3,8 @@
 // 113 261 containers / 4 365 machines). Unlike the other benches this one
 // DEFAULTS to scale 1 (RASA_BENCH_SCALE still overrides it; the ctest
 // smoke fixture runs at 96), generates + partitions + optimizes M4 through
-// the CSR affinity view and arena-backed solvers, and asserts a peak-RSS
-// budget on the whole process.
+// the CSR affinity view, and asserts a peak-RSS budget on the whole
+// process.
 //
 // The POP replica-split fallback is enabled (pop.max_services below the
 // partitioner ceiling) so oversized subproblems exercise the split; each

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/arena.h"
 #include "common/logging.h"
 #include "common/strings.h"
 #include "core/greedy.h"
@@ -52,14 +51,15 @@ class CgSolver {
   void BuildContexts();
   double PatternValue(const std::vector<int>& counts) const;
   // Whether one more container of `local_service`, `count` of which the
-  // machine already holds, fits. `used` / `rule_used` are views sized
-  // num_resources / active_rules_ (raw pointers so heap- and arena-backed
-  // scratch both qualify).
+  // machine already holds, fits. `used` / `rule_used` are sized
+  // num_resources / active_rules_.
   bool FitsOneMore(const MachineContext& ctx, int local_service, int count,
-                   const double* used, const int* rule_used) const;
+                   const std::vector<double>& used,
+                   const std::vector<int>& rule_used) const;
   // Adds the footprint of `n` containers of `local_service` to `used` and
   // `rule_used`.
-  void Occupy(int local_service, int n, double* used, int* rule_used) const;
+  void Occupy(int local_service, int n, std::vector<double>& used,
+              std::vector<int>& rule_used) const;
   // Greedy pricing on local machine j: maximize v(p) - pi.p - mu. Returns
   // the best pattern and its reduced cost.
   Pattern PricePattern(int j, const std::vector<double>& pi, double mu,
@@ -103,9 +103,6 @@ class CgSolver {
   std::vector<std::vector<std::pair<int, double>>> local_adj_;
   CgStats stats_;
 
-  // Pricing scratch pool: PricePattern runs once per machine per round and
-  // resets this instead of re-allocating its per-step buffers.
-  mutable Arena pricing_arena_;
   LpModel master_;
   std::vector<Pattern> columns_;
   // The basis the next master solve starts from: the crash basis, then
@@ -177,8 +174,8 @@ double CgSolver::PatternValue(const std::vector<int>& counts) const {
 }
 
 bool CgSolver::FitsOneMore(const MachineContext& ctx, int local_service,
-                           int count, const double* used,
-                           const int* rule_used) const {
+                           int count, const std::vector<double>& used,
+                           const std::vector<int>& rule_used) const {
   if (!ctx.can_host[local_service]) return false;
   const Service& svc = cluster_.service(sp_.services[local_service]);
   if (count + 1 > svc.demand) return false;
@@ -191,8 +188,8 @@ bool CgSolver::FitsOneMore(const MachineContext& ctx, int local_service,
   return true;
 }
 
-void CgSolver::Occupy(int local_service, int n, double* used,
-                      int* rule_used) const {
+void CgSolver::Occupy(int local_service, int n, std::vector<double>& used,
+                      std::vector<int>& rule_used) const {
   const std::vector<double>& req =
       cluster_.service(sp_.services[local_service]).request;
   for (int r = 0; r < cluster_.num_resources(); ++r) used[r] += req[r] * n;
@@ -218,22 +215,15 @@ Pattern CgSolver::PricePattern(int j, const std::vector<double>& pi,
                                double mu, double* reduced_cost) const {
   const MachineContext& ctx = contexts_[j];
   const int R = cluster_.num_resources();
-  // `counts` escapes as Pattern::counts (heap); the capacity/rule usage and
-  // the per-step fit/marginal values live in the recycled pricing arena.
   std::vector<int> counts(S(), 0);
-  pricing_arena_.Reset();
-  ArenaVector<double> used(static_cast<size_t>(R), 0.0,
-                           ArenaAllocator<double>(&pricing_arena_));
-  ArenaVector<int> rule_used(active_rules_.size(), 0,
-                             ArenaAllocator<int>(&pricing_arena_));
-  ArenaVector<char> fits(static_cast<size_t>(S()), 0,
-                         ArenaAllocator<char>(&pricing_arena_));
-  ArenaVector<double> marginals(static_cast<size_t>(S()), 0.0,
-                                ArenaAllocator<double>(&pricing_arena_));
+  std::vector<double> used(R, 0.0);
+  std::vector<int> rule_used(active_rules_.size(), 0);
+  std::vector<char> fits(S(), 0);
+  std::vector<double> marginals(S(), 0.0);
 
   auto commit = [&](int i) {
     ++counts[i];
-    Occupy(i, 1, used.data(), rule_used.data());
+    Occupy(i, 1, used, rule_used);
   };
 
   // Marginal reduced-cost gain of one more container of local service i.
@@ -279,7 +269,7 @@ Pattern CgSolver::PricePattern(int j, const std::vector<double>& pi,
     int best_single = -1;
     double best_single_gain = 1e-9;
     for (int i = 0; i < S(); ++i) {
-      fits[i] = FitsOneMore(ctx, i, counts[i], used.data(), rule_used.data());
+      fits[i] = FitsOneMore(ctx, i, counts[i], used, rule_used);
       if (!fits[i]) continue;
       marginals[i] = marginal(i);
       if (marginals[i] > best_single_gain) {
@@ -547,7 +537,7 @@ SubproblemSolution CgSolver::RoundToSolution(const std::vector<double>& y) {
   for (int j = 0; j < M(); ++j) {
     for (int i = 0; i < S(); ++i) {
       if (counts[i][j] > 0) {
-        Occupy(i, counts[i][j], used[j].data(), rule_used[j].data());
+        Occupy(i, counts[i][j], used[j], rule_used[j]);
       }
     }
   }
@@ -558,8 +548,8 @@ SubproblemSolution CgSolver::RoundToSolution(const std::vector<double>& y) {
       double best_gain = -1.0;
       for (int j = 0; j < M(); ++j) {
         // remaining[i] > 0 keeps counts[i][j] + 1 within the demand.
-        if (!FitsOneMore(contexts_[j], i, counts[i][j], used[j].data(),
-                         rule_used[j].data())) {
+        if (!FitsOneMore(contexts_[j], i, counts[i][j], used[j],
+                         rule_used[j])) {
           continue;
         }
         double gain = 0.0;
@@ -579,7 +569,7 @@ SubproblemSolution CgSolver::RoundToSolution(const std::vector<double>& y) {
       if (best_j < 0) break;
       ++counts[i][best_j];
       --remaining[i];
-      Occupy(i, 1, used[best_j].data(), rule_used[best_j].data());
+      Occupy(i, 1, used[best_j], rule_used[best_j]);
     }
   }
 
@@ -630,12 +620,9 @@ StatusOr<SubproblemSolution> CgSolver::Solve(CgStats* stats) {
       const int i = local_of_[s];
       if (i < 0) continue;
       for (int c = 0; c < count; ++c) {
-        if (!FitsOneMore(contexts_[j], i, counts[i], used.data(),
-                         rule_used.data())) {
-          break;
-        }
+        if (!FitsOneMore(contexts_[j], i, counts[i], used, rule_used)) break;
         ++counts[i];
-        Occupy(i, 1, used.data(), rule_used.data());
+        Occupy(i, 1, used, rule_used);
       }
     }
     Pattern original = PatternFromCounts(j, std::move(counts));

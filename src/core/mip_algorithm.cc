@@ -12,6 +12,10 @@
 namespace rasa {
 namespace {
 
+// Relative optimality gap every subproblem branch-and-bound stops at
+// (MipOptions::relative_gap).
+constexpr double kRelativeGap = 1e-4;
+
 // Copies the solver introspection a MipResult carries into the ledger
 // stats (observation-only).
 void FillMipStats(const MipResult& result, SubproblemMipStats* stats) {
@@ -277,7 +281,7 @@ StatusOr<SubproblemSolution> SolveSubproblemMipGrouped(
 
   MipOptions mip_options;
   mip_options.deadline = options.deadline;
-  mip_options.relative_gap = options.relative_gap;
+  mip_options.relative_gap = kRelativeGap;
   mip_options.max_lp_iterations = options.max_lp_iterations;
   MipResult mip = SolveMip(model, mip_options);
   if (!mip.has_solution()) {
@@ -419,7 +423,7 @@ StatusOr<SubproblemSolution> SolveSubproblemMip(
 
   MipOptions mip_options;
   mip_options.deadline = options.deadline;
-  mip_options.relative_gap = options.relative_gap;
+  mip_options.relative_gap = kRelativeGap;
   mip_options.max_lp_iterations = options.max_lp_iterations;
   mip_options.initial_solution = warm;
   MipResult result = SolveMip(mip.model, mip_options);

@@ -50,7 +50,6 @@ struct MipAlgorithmOptions {
   /// simplex would not finish a single relaxation, which the benches
   /// report as OOT (the NO-PARTITION behaviour of §V-B).
   int max_model_rows = 2000;
-  double relative_gap = 1e-4;
   /// Branch-and-bound work cap (MipOptions::max_lp_iterations); <= 0: none.
   int max_lp_iterations = 0;
   /// Optional feasible placement (the incremental path's prior incumbent)

@@ -94,15 +94,13 @@ Partition LossMinBalancedPartition(const AffinityGraph& graph, int h,
       1, static_cast<int>(balance_factor * (n + h - 1) / h) + 1);
   const std::vector<int> ceilings(h, ceiling);
 
-  Arena scratch;
   for (int t = 0; t < trials; ++t) {
-    scratch.Reset();
     const std::vector<int> seeds = rng.SampleWithoutReplacement(n, h);
     Partition candidate = MultiSourceBfsPartition(graph, seeds);
     // Loss-minimization: a few Kernighan-Lin sweeps pull boundary services
     // back toward their heaviest neighborhood without breaking balance.
     for (int pass = 0; pass < 3; ++pass) {
-      if (RefinePartitionKl(graph, candidate, ceilings, &scratch) <= 0.0) {
+      if (RefinePartitionKl(graph, candidate, ceilings) <= 0.0) {
         break;
       }
     }
@@ -143,8 +141,7 @@ Partition RandomPartition(const AffinityGraph& graph, int k, Rng& rng) {
 }
 
 double RefinePartitionKl(const AffinityGraph& graph, Partition& partition,
-                         const std::vector<int>& max_part_size,
-                         Arena* scratch) {
+                         const std::vector<int>& max_part_size) {
   const int n = graph.num_vertices();
   const int k = partition.num_parts;
   std::vector<int> sizes = partition.PartSizes();
@@ -152,13 +149,10 @@ double RefinePartitionKl(const AffinityGraph& graph, Partition& partition,
 
   // Link scratch hoisted out of the vertex loop: entries are zeroed via the
   // touched list after each vertex instead of reallocating k doubles per
-  // vertex. An arena-backed pass recycles the buffers across sweeps.
-  Arena local;
-  Arena& arena = scratch != nullptr ? *scratch : local;
-  ArenaVector<double> link(static_cast<size_t>(k), 0.0,
-                           ArenaAllocator<double>(&arena));
-  ArenaVector<int> touched{ArenaAllocator<int>(&arena)};
-  touched.reserve(static_cast<size_t>(k));
+  // vertex.
+  std::vector<double> link(k, 0.0);
+  std::vector<int> touched;
+  touched.reserve(k);
 
   // Greedy single-vertex moves to the best neighboring part; one sweep.
   for (int v = 0; v < n; ++v) {
@@ -310,10 +304,8 @@ Partition KahipLikePartition(const AffinityGraph& graph, int k, Rng& rng,
   }
 
   std::vector<int> ceilings(k, ceiling);
-  Arena scratch;
   for (int pass = 0; pass < refinement_passes; ++pass) {
-    scratch.Reset();
-    if (RefinePartitionKl(graph, partition, ceilings, &scratch) <= 0.0) break;
+    if (RefinePartitionKl(graph, partition, ceilings) <= 0.0) break;
   }
   return partition;
 }

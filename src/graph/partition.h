@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "graph/affinity_graph.h"
 
@@ -53,12 +52,9 @@ Partition KahipLikePartition(const AffinityGraph& graph, int k, Rng& rng,
 /// One pass of Kernighan-Lin boundary refinement on an existing partition:
 /// greedily moves boundary vertices to the neighboring part with maximum
 /// cut-weight gain while respecting part-size ceilings. Returns the total
-/// gain achieved. `scratch` (optional) backs the per-pass link scratch so
-/// repeated sweeps — LossMinBalancedPartition runs trials x passes of them
-/// — recycle one allocation instead of hitting the heap per pass.
+/// gain achieved.
 double RefinePartitionKl(const AffinityGraph& graph, Partition& partition,
-                         const std::vector<int>& max_part_size,
-                         Arena* scratch = nullptr);
+                         const std::vector<int>& max_part_size);
 
 }  // namespace rasa
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <queue>
 
-#include "common/arena.h"
 #include "common/logging.h"
 
 namespace rasa {
@@ -60,10 +60,10 @@ struct BoundChange {
   double upper;
 };
 
-// Nodes live in the solver's arena: the open queue holds raw pointers, no
-// per-node heap traffic or control blocks, and everything is reclaimed in
-// one sweep when the solve ends (the node count is bounded by max_nodes,
-// so holding explored nodes to the end costs a few MB at worst).
+// Nodes live in one deque per solve, which keeps their addresses stable as
+// it grows: the open queue holds raw pointers, and everything is reclaimed
+// when the solve ends (the node count is bounded by max_nodes, so holding
+// explored nodes to the end costs a few MB at worst).
 struct Node {
   // Bound tightenings along the path from the root.
   std::vector<BoundChange> changes;
@@ -140,7 +140,6 @@ class BranchAndBound {
   int max_node_pivots_ = 0;
   int refactorizations_ = 0;
   int max_eta_length_ = 0;
-  Arena arena_;  // owns every Node of this solve
 };
 
 bool BranchAndBound::IsIntegral(const std::vector<double>& x,
@@ -202,9 +201,6 @@ void BranchAndBound::OfferIncumbent(const std::vector<double>& x,
   has_incumbent_ = true;
   incumbent_ = snapped;
   incumbent_objective_ = model_.ObjectiveValue(snapped);
-  if (options_.on_incumbent) {
-    options_.on_incumbent(incumbent_, incumbent_objective_);
-  }
 }
 
 void BranchAndBound::RecordLpStats(const LpResult& lp) {
@@ -297,8 +293,9 @@ MipResult BranchAndBound::Solve() {
     return a->depth < b->depth;  // deeper first on ties -> finds leaves
   };
   std::priority_queue<Node*, std::vector<Node*>, decltype(cmp)> open(cmp);
+  std::deque<Node> nodes;  // owns every Node of this solve
 
-  Node* root = arena_.New<Node>();
+  Node* root = &nodes.emplace_back();
   root->bound = maximize_ ? kInf : -kInf;
   open.push(root);
 
@@ -395,13 +392,13 @@ MipResult BranchAndBound::Solve() {
     if (options_.warm_start_nodes && !node_basis.empty()) {
       child_basis = std::make_shared<const LpBasis>(std::move(node_basis));
     }
-    Node* down = arena_.New<Node>();
+    Node* down = &nodes.emplace_back();
     down->changes = node->changes;
     down->changes.push_back({branch_var, -kInf, std::floor(value)});
     down->bound = node_bound;
     down->depth = node->depth + 1;
     down->parent_basis = child_basis;
-    Node* up = arena_.New<Node>();
+    Node* up = &nodes.emplace_back();
     up->changes = node->changes;
     up->changes.push_back({branch_var, std::ceil(value), kInf});
     up->bound = node_bound;

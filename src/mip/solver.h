@@ -1,7 +1,6 @@
 #ifndef RASA_MIP_SOLVER_H_
 #define RASA_MIP_SOLVER_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/timer.h"
@@ -45,9 +44,6 @@ struct MipOptions {
   LpOptions lp_options;
   /// Known feasible solution used as the initial incumbent / cutoff.
   std::vector<double> initial_solution;
-  /// Invoked whenever a strictly better incumbent is found (anytime hook).
-  std::function<void(const std::vector<double>& solution, double objective)>
-      on_incumbent;
   /// Every `dive_frequency`-th node additionally runs a fix-and-dive
   /// heuristic to manufacture incumbents early. <= 0 disables diving.
   int dive_frequency = 16;

@@ -135,25 +135,6 @@ TEST(MipTest, InfeasibleWarmStartIsIgnored) {
   EXPECT_NEAR(r.objective, 3.0, 1e-9);
 }
 
-TEST(MipTest, IncumbentCallbackFires) {
-  LpModel m;
-  m.SetObjectiveSense(ObjectiveSense::kMaximize);
-  int x = m.AddVariable(0, 5, 1.0);
-  m.SetInteger(x);
-  m.AddConstraint(ConstraintType::kLessEqual, 7.0, {{x, 2.0}});
-  MipOptions options;
-  int calls = 0;
-  double last = -1;
-  options.on_incumbent = [&](const std::vector<double>&, double obj) {
-    ++calls;
-    last = obj;
-  };
-  MipResult r = SolveMip(m, options);
-  ASSERT_EQ(r.status, MipStatus::kOptimal);
-  EXPECT_GE(calls, 1);
-  EXPECT_NEAR(last, 3.0, 1e-9);
-}
-
 TEST(MipTest, ExpiredDeadlineStillReturnsGracefully) {
   LpModel m;
   m.SetObjectiveSense(ObjectiveSense::kMaximize);

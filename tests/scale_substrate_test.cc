@@ -1,18 +1,16 @@
 // Scale-substrate suite (`scale` ctest label): the pieces that let the
 // repo run Table II at scale factor 1 on one box. Covers (a) generator
 // exactness — the factor-1 specs must hit the paper's row totals exactly,
-// (b) a peak-RSS budget for partitioning M4 at factor 1 plus one
-// subproblem solve through the CSR view API and arena-backed solvers, and
-// (c) the arena lifecycle: reset-reuse across cycles retains capacity,
-// runs destructors, and leaks nothing (the asan preset runs this suite).
+// with the scaled-down specs left ungated — and (b) a peak-RSS budget for
+// partitioning M4 at factor 1 plus one subproblem solve through the CSR
+// view API (the asan preset runs this suite, so it is also a leak probe
+// for that solve).
 
 #include <sys/resource.h>
 
-#include <string>
 #include <vector>
 
 #include "cluster/generator.h"
-#include "common/arena.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "core/algorithm_pool.h"
@@ -72,9 +70,9 @@ TEST(ScaleSubstrateTest, ScaledSpecsStayUngated) {
   }
 }
 
-// The memory budget of the tentpole: generate M4 at factor 1, partition
-// it, and run one pool solve on the largest subproblem — all through the
-// CSR view API and arena-backed solver state — inside a peak-RSS budget.
+// The memory budget of the factor-1 substrate: generate M4 at factor 1,
+// partition it, and run one pool solve on the largest subproblem — all
+// through the CSR view API — inside a peak-RSS budget.
 // The budget is deliberately generous (the point is catching a regression
 // to dense O(n^2) storage, which for 10 682 services would add ~900 MB on
 // its own), and covers the whole process including gtest and the
@@ -108,63 +106,6 @@ TEST(ScaleSubstrateTest, M4PartitionAndSolveWithinMemoryBudget) {
                  << " MiB), largest subproblem "
                  << largest->services.size() << " services";
   EXPECT_LT(peak, kBudgetBytes);
-}
-
-// Arena lifecycle: Reset runs destructors of arena-constructed objects in
-// reverse order, retains chunk capacity for reuse, and repeated
-// reset-reuse cycles do not grow the reservation — under asan this test
-// also proves nothing leaks.
-TEST(ScaleSubstrateTest, ArenaResetReuseRetainsCapacityAndDestroys) {
-  static int live_objects = 0;
-  struct Tracked {
-    Tracked() { ++live_objects; }
-    ~Tracked() { --live_objects; }
-    std::string payload = std::string(256, 'x');  // heap-owning member
-  };
-
-  Arena arena;
-  size_t reserved_after_warmup = 0;
-  for (int cycle = 0; cycle < 8; ++cycle) {
-    for (int i = 0; i < 64; ++i) {
-      Tracked* t = arena.New<Tracked>();
-      ASSERT_EQ(t->payload.size(), 256u);
-      ArenaVector<double> scratch{ArenaAllocator<double>(&arena)};
-      scratch.resize(1024, 1.0);
-      ASSERT_EQ(scratch.back(), 1.0);
-    }
-    EXPECT_EQ(live_objects, 64);
-    EXPECT_GT(arena.bytes_used(), 0u);
-    arena.Reset();
-    EXPECT_EQ(live_objects, 0);  // destructors ran
-    EXPECT_EQ(arena.bytes_used(), 0u);
-    if (cycle == 0) {
-      reserved_after_warmup = arena.bytes_reserved();
-      EXPECT_GT(reserved_after_warmup, 0u);
-    } else {
-      // Steady state: the warmed-up reservation is enough for every later
-      // identical cycle — reset-reuse never touches the OS allocator again.
-      EXPECT_EQ(arena.bytes_reserved(), reserved_after_warmup);
-    }
-  }
-}
-
-// NewArray hands out aligned trivially-destructible storage that survives
-// until Reset; interleaved odd-sized allocations keep alignment honest.
-TEST(ScaleSubstrateTest, ArenaArraysStayAlignedAndIndependent) {
-  Arena arena;
-  for (int round = 0; round < 4; ++round) {
-    char* pad = arena.NewArray<char>(3);  // misalign the bump pointer
-    pad[0] = 'a';
-    double* d = arena.NewArray<double>(17);
-    ASSERT_EQ(reinterpret_cast<uintptr_t>(d) % alignof(double), 0u);
-    int* ints = arena.NewArray<int>(33);
-    ASSERT_EQ(reinterpret_cast<uintptr_t>(ints) % alignof(int), 0u);
-    for (int i = 0; i < 17; ++i) d[i] = i * 0.5;
-    for (int i = 0; i < 33; ++i) ints[i] = i;
-    for (int i = 0; i < 17; ++i) EXPECT_EQ(d[i], i * 0.5);
-    for (int i = 0; i < 33; ++i) EXPECT_EQ(ints[i], i);
-    arena.Reset();
-  }
 }
 
 }  // namespace
